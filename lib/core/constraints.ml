@@ -354,7 +354,7 @@ let reach_entry (r : reach option) (v : int) (tid : int) : int =
 (* ------------------------------------------------------------------ *)
 
 let generate ?(naive = false) ?(free = []) ?(extra_events = []) (log : Log.t) : t =
-  let t_start = Sys.time () in
+  let t_start = Clock.now_s () in
   let intervals = intervals_of_log log in
   (* freed interval starts: their source pin is dropped (exploration) *)
   let freed : (Log.evt, unit) Hashtbl.t = Hashtbl.create (max 4 (List.length free)) in
@@ -698,6 +698,6 @@ let generate ?(naive = false) ?(free = []) ?(extra_events = []) (log : Log.t) : 
         n_pruned = !n_pruned;
         n_unit = !n_unit;
         n_dedup = !n_dedup;
-        gen_time_s = Sys.time () -. t_start;
+        gen_time_s = Clock.now_s () -. t_start;
       };
   }

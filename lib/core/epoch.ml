@@ -24,7 +24,11 @@
     The on-disk form is log format v4: a per-epoch header line, checkpoint
     lines, an intern-table {e delta}, then the epoch's v3-style record
     body.  v2/v3 readers and writers are untouched ({!Log}); the
-    monolithic path remains the differential oracle. *)
+    monolithic path remains the differential oracle.
+
+    Every entry point takes [?engine], default [Vm.Bytecode] (the register
+    VM); [Vm.Tree] records byte-identical v4 files, and a checkpoint taken
+    on one engine restores on the other. *)
 
 open Runtime
 
@@ -92,11 +96,11 @@ let run_epoch_loop ~engine ~sched ~max_steps ~seed ~weights ~epoch_len
     in
     let stop_at = ses.Vm.s_steps () + epoch_len in
     let status = ses.Vm.s_run ~max_steps ~stop_at ~sched () in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now_s () in
     let counters = ses.Vm.s_counters () in
     let obs = ses.Vm.s_drain () in
     let log = Recorder.seal recorder ~syscalls:obs.obs_syscalls ~counters in
-    seal_times := (Unix.gettimeofday () -. t0) :: !seal_times;
+    seal_times := (Clock.now_s () -. t0) :: !seal_times;
     List.iter
       (fun (tid, outs) ->
         let prev = Option.value ~default:0 (Hashtbl.find_opt out_counts tid) in
@@ -119,7 +123,7 @@ let run_epoch_loop ~engine ~sched ~max_steps ~seed ~weights ~epoch_len
   done;
   (Option.get !final, ses, recorder, List.rev !seal_times)
 
-let record_epochs ?(engine = Vm.Tree) ?(sched = Sched.random ~seed:1)
+let record_epochs ?(engine = Vm.Bytecode) ?(sched = Sched.random ~seed:1)
     ?(max_steps = 5_000_000) ?(seed = 0)
     ?(weights = Metrics.Cost.default_weights) ~(epoch_len : int)
     (pp : Light.prepared) : recording =
@@ -218,7 +222,7 @@ let fenced_hooks (hooks : Interp.hooks) (watermark : (int * int) list) :
 (** Replay epoch [k] of [r] standalone: solve its sealed log, restore its
     checkpoint, and run fenced at its counter watermark.  Work is
     proportional to the epoch, never the run. *)
-let replay_epoch ?solver_budget ?(max_steps = 10_000_000) ?(engine = Vm.Tree)
+let replay_epoch ?solver_budget ?(max_steps = 10_000_000) ?(engine = Vm.Bytecode)
     (r : recording) (k : int) : (epoch_replay, string) result =
   match List.nth_opt r.er_epochs k with
   | None -> Error (Printf.sprintf "no epoch %d (recording has %d)" k (List.length r.er_epochs))
@@ -655,7 +659,7 @@ type stream_summary = {
     memory is bounded by one window regardless of run length.  Pair [emit]
     with {!writer} + {!write_chunk} over an output channel to stream the
     log to disk as it is recorded. *)
-let record_epochs_stream ?(engine = Vm.Tree) ?(sched = Sched.random ~seed:1)
+let record_epochs_stream ?(engine = Vm.Bytecode) ?(sched = Sched.random ~seed:1)
     ?(max_steps = 5_000_000) ?(seed = 0)
     ?(weights = Metrics.Cost.default_weights) ~(epoch_len : int)
     ~(emit : chunk -> unit) (pp : Light.prepared) : stream_summary =
@@ -892,7 +896,7 @@ let of_string_v4 (s : string) : file =
 
 (** Replay epoch [k] straight out of a parsed v4 file: the caller supplies
     the (re-)prepared program (v4 stores no program text, like v2/v3). *)
-let replay_chunk ?solver_budget ?(max_steps = 10_000_000) ?(engine = Vm.Tree)
+let replay_chunk ?solver_budget ?(max_steps = 10_000_000) ?(engine = Vm.Bytecode)
     (pp : Light.prepared) (ck : chunk) : (epoch_replay, string) result =
   let rep = Replayer.solve ?budget:solver_budget ck.ck_log in
   match rep.Replayer.schedule with

@@ -94,7 +94,7 @@ let prepare ?(variant = Recorder.v_both) ?plan (program : Lang.Ast.program) :
     of one session never bleeds into (or gets clobbered by) the next
     session on the same recorder.  When [recorder] is passed, [weights] is
     ignored: the recycled meter keeps the weights it was created with. *)
-let record_prepared ?(engine = Vm.Tree) ?(sched = Sched.random ~seed:1)
+let record_prepared ?(engine = Vm.Bytecode) ?(sched = Sched.random ~seed:1)
     ?(max_steps = 5_000_000) ?(seed = 0)
     ?(weights = Metrics.Cost.default_weights) ?recorder (pp : prepared) :
     recording =

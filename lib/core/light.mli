@@ -69,10 +69,10 @@ val record_prepared :
   recording
 (** Execute one recording run over a prepared program; only the
     interpreter and the recorder's zero-allocation access fast path are on
-    the clock.  [engine] selects the execution substrate: [Vm.Tree] (the
-    slot-resolved tree walker, the default) or [Vm.Bytecode] (the
-    register VM over the eagerly lowered program) — recorded logs are
-    byte-identical either way.
+    the clock.  [engine] selects the execution substrate: [Vm.Bytecode]
+    (the register VM over the eagerly lowered program, the default) or
+    [Vm.Tree] (the slot-resolved tree walker, kept as the differential
+    oracle) — recorded logs are byte-identical either way.
 
     [recorder] recycles a long-lived recorder across sessions instead of
     allocating a fresh one: it is {!Recorder.reset} in place (retargeted to
@@ -122,12 +122,13 @@ val replay :
   ?engine:Vm.engine ->
   recording ->
   (replay_result, string) result
-(** Generate constraints, solve offline, and execute the replay run.
-    [Error _] only if the constraint system is unsatisfiable or the solver
-    exhausts [solver_budget] — unsatisfiability is ruled out by Lemma 4.1
-    for logs this library records, and the budget exists so a generator or
-    solver regression aborts loudly (with the solver's statistics in the
-    message) instead of hanging the caller. *)
+(** Generate constraints, solve offline, and execute the replay run on
+    [engine] (default [Vm.Bytecode], as for recording).  [Error _] only if
+    the constraint system is unsatisfiable or the solver exhausts
+    [solver_budget] — unsatisfiability is ruled out by Lemma 4.1 for logs
+    this library records, and the budget exists so a generator or solver
+    regression aborts loudly (with the solver's statistics in the message)
+    instead of hanging the caller. *)
 
 val record_and_replay :
   ?variant:variant ->

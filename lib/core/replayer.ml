@@ -21,13 +21,25 @@
 
 open Runtime
 
+(* One thread's slice of the schedule, in dense sorted arrays: the replay
+   driver reaches every per-access answer by a cursor or a binary search
+   over these, never by hashing an event. *)
+type thread_plan = {
+  tp_tid : int;
+  tp_cs : int array;  (** the thread's constrained counters, ascending *)
+  tp_ranks : int array;  (** [tp_ranks.(i)] = rank of [(tp_tid, tp_cs.(i))] *)
+  tp_iv_lo : int array;  (** recorded intervals, by ascending start counter *)
+  tp_iv_hi : int array;
+  tp_iv_reach : int array;  (** prefix maximum of [tp_iv_hi] *)
+  tp_iv_loc : Loc.t array;
+}
+
 type schedule = {
   rank_of : (Log.evt, int) Hashtbl.t;
   order : Log.evt array;  (** rank -> event *)
-  (* per thread: sorted array of constrained counters, for predecessor search *)
-  thread_cs : (int, int array) Hashtbl.t;
-  (* per thread: recorded intervals (loc, lo, hi) *)
-  thread_intervals : (int, (Loc.t * int * int) list) Hashtbl.t;
+  threads : thread_plan array;
+      (** every thread with a constrained event or a recorded interval,
+          by ascending tid *)
   syscall_values : (int * int, Value.t) Hashtbl.t;
   notify_pairs : (Log.evt, int) Hashtbl.t;  (** notify write event -> waiter tid *)
 }
@@ -63,25 +75,45 @@ let build_schedule (log : Log.t) (cs : Constraints.t) (model : int array) : sche
   in
   let rank_of = Hashtbl.create (2 * n) in
   Array.iteri (fun rank e -> Hashtbl.replace rank_of e rank) order;
-  let thread_cs = Hashtbl.create 16 in
-  let tmp : (int, int list ref) Hashtbl.t = Hashtbl.create 16 in
-  Array.iter
-    (fun (t, c) ->
-      match Hashtbl.find_opt tmp t with
-      | Some l -> l := c :: !l
-      | None -> Hashtbl.add tmp t (ref [ c ]))
-    order;
-  Hashtbl.iter
-    (fun t cs -> Hashtbl.replace thread_cs t (Array.of_list (List.sort_uniq compare !cs)))
-    tmp;
-  let thread_intervals = Hashtbl.create 16 in
+  (* per thread: (counter, rank) of its constrained events, its intervals *)
+  let per_thread : (int, (int * int) list ref * (Loc.t * int * int) list ref) Hashtbl.t =
+    Hashtbl.create 16
+  in
+  let slot t =
+    match Hashtbl.find_opt per_thread t with
+    | Some s -> s
+    | None ->
+      let s = (ref [], ref []) in
+      Hashtbl.add per_thread t s;
+      s
+  in
+  Array.iteri (fun rank (t, c) -> let evs, _ = slot t in evs := (c, rank) :: !evs) order;
   List.iter
     (fun (iv : Constraints.interval) ->
-      let t = fst iv.start_e in
-      let prev = Option.value ~default:[] (Hashtbl.find_opt thread_intervals t) in
-      Hashtbl.replace thread_intervals t
-        ((iv.iv_loc, snd iv.start_e, snd iv.end_e) :: prev))
+      let _, ivs = slot (fst iv.start_e) in
+      ivs := (iv.iv_loc, snd iv.start_e, snd iv.end_e) :: !ivs)
     cs.intervals;
+  let thread_plan t (evs, ivs) =
+    let evs = Array.of_list (List.sort (fun (a, _) (b, _) -> Int.compare a b) !evs) in
+    let ivs =
+      Array.of_list (List.sort (fun (_, a, _) (_, b, _) -> Int.compare a b) !ivs)
+    in
+    let reach = ref min_int in
+    {
+      tp_tid = t;
+      tp_cs = Array.map fst evs;
+      tp_ranks = Array.map snd evs;
+      tp_iv_lo = Array.map (fun (_, lo, _) -> lo) ivs;
+      tp_iv_hi = Array.map (fun (_, _, hi) -> hi) ivs;
+      tp_iv_reach = Array.map (fun (_, _, hi) -> reach := max !reach hi; !reach) ivs;
+      tp_iv_loc = Array.map (fun (l, _, _) -> l) ivs;
+    }
+  in
+  let threads =
+    Hashtbl.fold (fun t s acc -> thread_plan t s :: acc) per_thread []
+    |> List.sort (fun a b -> Int.compare a.tp_tid b.tp_tid)
+    |> Array.of_list
+  in
   let syscall_values = Hashtbl.create 64 in
   List.iter (fun (t, i, _, v) -> Hashtbl.replace syscall_values (t, i) v) log.syscalls;
   (* notify -> waiter pairing from condition-ghost records *)
@@ -96,7 +128,7 @@ let build_schedule (log : Log.t) (cs : Constraints.t) (model : int array) : sche
       if r.loc.fld = Loc.cond_fld then
         match r.w_in with Some w -> Hashtbl.replace notify_pairs w r.rt | None -> ())
     log.ranges;
-  { rank_of; order; thread_cs; thread_intervals; syscall_values; notify_pairs }
+  { rank_of; order; threads; syscall_values; notify_pairs }
 
 (** Generate constraints, solve, and build the schedule.  [budget] bounds
     the solver's work so a pathological constraint system aborts with
@@ -113,9 +145,9 @@ let solve ?(naive = false) ?budget ?(hint_shift = 0) (log : Log.t) : solve_repor
     | Some h when hint_shift <> 0 -> Some (Array.map (fun v -> v + hint_shift) h)
     | h -> h
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now_s () in
   let result = Dlsolver.Idl.solve ?budget ?hint cs.problem in
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = Clock.now_s () -. t0 in
   let mk kind stats schedule max_model =
     {
       schedule;
@@ -146,67 +178,112 @@ type driver = {
   progress : unit -> int;  (** executed constrained events *)
 }
 
-let in_interval (sch : schedule) (t : int) (loc : Loc.t) (c : int) : bool =
-  match Hashtbl.find_opt sch.thread_intervals t with
-  | None -> false
-  | Some ivs ->
-    List.exists (fun (l, lo, hi) -> lo <= c && c <= hi && Loc.equal l loc) ivs
+(* least i in [lo, Array.length a) with a.(i) >= x *)
+let lower_bound (a : int array) (lo : int) (x : int) : int =
+  let lo = ref lo and hi = ref (Array.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if Array.unsafe_get a mid < x then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
-(* rank of the last constrained event of thread t with counter < c *)
-let pred_rank (sch : schedule) (t : int) (c : int) : int option =
-  match Hashtbl.find_opt sch.thread_cs t with
-  | None -> None
-  | Some arr ->
-    (* binary search: greatest index with arr.(i) < c *)
-    let lo = ref 0 and hi = ref (Array.length arr - 1) and best = ref (-1) in
-    while !lo <= !hi do
-      let mid = (!lo + !hi) / 2 in
-      if arr.(mid) < c then (best := mid; lo := mid + 1) else hi := mid - 1
-    done;
-    if !best < 0 then None else Hashtbl.find_opt sch.rank_of (t, arr.(!best))
+(* Is [c] interior to (or an endpoint of) a recorded interval of [tp] on
+   [loc]?  Intervals are sorted by start; the ones that can contain [c]
+   start at or before it, and the prefix-maximum end stops the backward
+   walk at the first prefix that ends entirely before [c]. *)
+let in_interval (tp : thread_plan) (loc : Loc.t) (c : int) : bool =
+  let j = ref (lower_bound tp.tp_iv_lo 0 (c + 1) - 1) and found = ref false in
+  while (not !found) && !j >= 0 && Array.unsafe_get tp.tp_iv_reach !j >= c do
+    if Array.unsafe_get tp.tp_iv_hi !j >= c && Loc.equal tp.tp_iv_loc.(!j) loc then
+      found := true;
+    decr j
+  done;
+  !found
 
 (** [?suppress:false] turns off blind-write suppression — the exploration
     mode: every executed step is then a legal program step, so any crash a
     flipped schedule reaches is a genuine interleaving of the program, not
     an artifact of replay-time write elision.  Replay of the {e recorded}
-    schedule keeps the default ([true]); see the module doc. *)
+    schedule keeps the default ([true]); see the module doc.
+
+    The driver is counter-indexed: each thread's constrained counters are
+    searched from a cursor that follows the thread's monotone counter
+    (falling back to a binary search if a consult ever goes backwards),
+    executed events are a rank-indexed bit per event, and accesses arrive
+    through the allocation-free [on_shared] hook — no gate consult, write
+    check or access hashes or allocates an event (a notify write alone
+    boxes its event, for the wakeup it steers). *)
 let driver ?(suppress = true) (sch : schedule) ~(plan : Plan.t) : driver =
+  let threads = sch.threads in
+  let executed = Array.make (Array.length sch.order) false in
+  let n_executed = ref 0 in
   let next_rank = ref 0 in
-  let executed = Hashtbl.create 1024 in
   let advance () =
-    while
-      !next_rank < Array.length sch.order && Hashtbl.mem executed sch.order.(!next_rank)
-    do
+    while !next_rank < Array.length executed && Array.unsafe_get executed !next_rank do
       incr next_rank
     done
   in
-  (* positions for wakeup choice *)
+  (* tid -> index into [threads] (-1: no constrained event, no interval),
+     memoized for the last tid asked *)
+  let tids = Array.map (fun tp -> tp.tp_tid) threads in
+  let last_tid = ref min_int and last_ti = ref (-1) in
+  let thread_index tid =
+    if tid <> !last_tid then begin
+      let i = lower_bound tids 0 tid in
+      last_tid := tid;
+      last_ti := if i < Array.length tids && tids.(i) = tid then i else -1
+    end;
+    !last_ti
+  in
+  (* position of the first constrained counter >= c of thread [ti] *)
+  let cursor = Array.make (Array.length threads) 0 in
+  let seek ti c =
+    let cs = threads.(ti).tp_cs in
+    let i = Array.unsafe_get cursor ti in
+    let i =
+      if i > 0 && cs.(i - 1) >= c then lower_bound cs 0 c
+      else if i < Array.length cs && cs.(i) < c then lower_bound cs (i + 1) c
+      else i
+    in
+    Array.unsafe_set cursor ti i;
+    i
+  in
+  (* rank of (tid, c) when constrained, else -1 - (index of its successor) *)
+  let locate ti c =
+    let tp = threads.(ti) in
+    let i = seek ti c in
+    if i < Array.length tp.tp_cs && tp.tp_cs.(i) = c then tp.tp_ranks.(i) else -1 - i
+  in
   let last_notify : Log.evt option ref = ref None in
   let gate (pre : Event.pre) : bool =
-    let e = (pre.tid, pre.c) in
-    match Hashtbl.find_opt sch.rank_of e with
-    | Some k -> k = !next_rank
-    | None -> (
-      match pred_rank sch pre.tid pre.c with
-      | None -> true
-      | Some kp -> !next_rank > kp)
+    let ti = thread_index pre.tid in
+    ti < 0
+    ||
+    let k = locate ti pre.c in
+    if k >= 0 then k = !next_rank
+    else
+      (* unconstrained: wait for the thread-order predecessor's rank *)
+      let i = -1 - k in
+      i = 0 || !next_rank > threads.(ti).tp_ranks.(i - 1)
   in
-  let observe (ev : Event.t) : unit =
-    match ev with
-    | Event.Access (a, _) ->
-      let e = (a.tid, a.c) in
-      if Hashtbl.mem sch.rank_of e then begin
-        Hashtbl.replace executed e ();
-        advance ()
-      end;
-      if a.ghost = Event.NotifyWrite then last_notify := Some e
-    | _ -> ()
+  let on_shared ~tid ~c ~loc:_ ~kind:_ ~site:_ ~ghost =
+    let ti = thread_index tid in
+    (if ti >= 0 then
+       let k = locate ti c in
+       if k >= 0 then begin
+         if not executed.(k) then begin
+           executed.(k) <- true;
+           incr n_executed
+         end;
+         advance ()
+       end);
+    if ghost = Event.NotifyWrite then last_notify := Some (tid, c)
   in
   let suppress_write (pre : Event.pre) : bool =
     suppress
     && pre.ghost = Event.NotGhost
-    && (not (Hashtbl.mem sch.rank_of (pre.tid, pre.c)))
-    && (not (in_interval sch pre.tid pre.loc pre.c))
+    && (let ti = thread_index pre.tid in
+        ti < 0 || (locate ti pre.c < 0 && not (in_interval threads.(ti) pre.loc pre.c)))
     && not (plan.guarded_site pre.site)
   in
   let syscall_override ~tid ~idx ~name:_ =
@@ -224,20 +301,20 @@ let driver ?(suppress = true) (sch : schedule) ~(plan : Plan.t) : driver =
     hooks =
       {
         Interp.gate = Some gate;
-        observe = Some observe;
-        on_shared = None;
+        observe = None;
+        on_shared = Some on_shared;
         syscall_override = Some syscall_override;
         choose_wakeup = Some choose_wakeup;
         suppress_write = Some suppress_write;
         on_branch = None;
       };
-    progress = (fun () -> Hashtbl.length executed);
+    progress = (fun () -> !n_executed);
   }
 
-(** Execute the replay run, on either execution engine (the driver hooks
-    are engine-agnostic; the schedule constrains shared accesses, which
-    both engines present identically). *)
-let replay ?(max_steps = 10_000_000) ?suppress ?(engine = Vm.Tree)
+(** Execute the replay run, on the register VM by default or on the tree
+    walker (the driver hooks are engine-agnostic; the schedule constrains
+    shared accesses, which both engines present identically). *)
+let replay ?(max_steps = 10_000_000) ?suppress ?(engine = Vm.Bytecode)
     (program : Lang.Ast.program) ~(plan : Plan.t) (sch : schedule) :
     Interp.outcome =
   let d = driver ?suppress sch ~plan in

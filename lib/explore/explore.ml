@@ -312,9 +312,9 @@ let solve_flips ?budget ?(hinted = true) ?sections (log : Log.t)
     }
   in
   let hint = if hinted then cs.hint else None in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Light_core.Clock.now_s () in
   let res = Dlsolver.Idl.solve ?budget ?hint problem in
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = Light_core.Clock.now_s () -. t0 in
   let sv =
     match res with
     | Dlsolver.Idl.Sat (model, _) ->
@@ -862,7 +862,7 @@ let measure ?budget ?fresh_budget ?limit ~label (ctx : context) : stats =
   let same = ref 0 and divergent = ref 0 and crashed = ref 0 in
   let stuck = ref 0 and infeasible = ref 0 and aborted = ref 0 in
   let resolve_s = ref 0.0 and fresh_s = ref 0.0 and fresh_aborted = ref 0 in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Light_core.Clock.now_s () in
   List.iter
     (fun f ->
       let v, _errs, dt = eval_flips ?budget ctx [ f ] in
@@ -885,7 +885,7 @@ let measure ?budget ?fresh_budget ?limit ~label (ctx : context) : stats =
       | SolveAborted -> incr fresh_aborted
       | Feasible _ | Infeasible -> ())
     cands;
-  let wall = Unix.gettimeofday () -. t0 in
+  let wall = Light_core.Clock.now_s () -. t0 in
   let n = List.length cands in
   {
     st_label = label;

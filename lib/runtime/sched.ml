@@ -39,6 +39,12 @@ let unmarshal_hex (h : string) : 'a =
   done;
   Marshal.from_bytes s 0
 
+(* the first tid above [last] in the list, else the head of
+   [all]; allocation-free, as the replay loop picks every step *)
+let rec first_above last all = function
+  | [] -> List.hd all
+  | x :: rest -> if x > last then x else first_above last all rest
+
 (* Every scheduler here is a [unit -> t]-style constructor: a [t] value
    carries mutable pick state, and sharing one instance across runs (or
    across domains) leaks schedule state from one run into the next.
@@ -50,8 +56,7 @@ let round_robin () : t =
     name = "round-robin";
     pick =
       (fun ~step:_ ~runnable ->
-        let above = List.filter (fun t -> t > !last) runnable in
-        let t = match above with x :: _ -> x | [] -> List.hd runnable in
+        let t = first_above !last runnable runnable in
         last := t;
         t);
     save = (fun () -> string_of_int !last);

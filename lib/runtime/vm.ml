@@ -19,10 +19,11 @@
       linear probing, no deletions) instead of nested hashtables, with a
       separate object registry for classes;
     - pre-boxed constant pool: literals never allocate at runtime;
-    - a cached runnable list: the per-step enabledness walk is skipped
+    - a cached enabled set: the per-step enabledness walk is skipped
       while no transition changed lock/status/thread structure and the
-      stepped thread did not stop on a possibly-blocking statement head
-      (cache disabled under a replay gate, whose admission is stateful).
+      stepped thread did not stop on a possibly-blocking statement head;
+      under a replay gate only the gate itself is re-applied per step,
+      over per-thread memoized next accesses ([next_pre_memo]).
 
     Thread/frame bookkeeping mirrors {!Interp} field for field; shared
     pieces (expression evaluation for enabledness peeking, syscall and
@@ -53,6 +54,8 @@ type vthread = {
   mutable started : bool;
   mutable reads_rev : (int * Value.t) list;
   mutable outputs_rev : string list;
+  mutable pre_memo : Event.pre option;  (** [next_pre], while [pre_ok] *)
+  mutable pre_ok : bool;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -162,7 +165,9 @@ type state = {
   maybe_blocking : bool array;
       (* per pc: boundary whose statement head can block (sync/lock/join);
          resting there invalidates the runnable cache *)
-  mutable cached_runnable : int list;
+  mutable cached_enabled : vthread list;
+      (* semantically enabled, in spawn order (gated runs only) *)
+  mutable cached_runnable : int list;  (* their tids *)
   mutable cache_ok : bool;
   mutable dirty : bool;  (* set by any transition that can change enabledness *)
 }
@@ -341,6 +346,7 @@ let pick_wakeup st (m : Value.objid) : int option =
 let wake st (w : int) (m : Value.objid) : unit =
   let wt = Hashtbl.find st.threads w in
   wt.status <- Notified m;
+  wt.pre_ok <- false;
   st.dirty <- true
 
 let observe_event st (ev : Event.t) : unit =
@@ -372,6 +378,8 @@ let make_thread ~tid ~frames : vthread =
     started = false;
     reads_rev = [];
     outputs_rev = [];
+    pre_memo = None;
+    pre_ok = false;
   }
 
 let new_vframe (fi : fninfo) ~(ret_to : int option) : vframe =
@@ -957,11 +965,21 @@ let semantically_enabled st (t : vthread) : bool =
         | None -> true)
       | _ -> true)
 
-let gate_allows st (t : vthread) : bool =
-  match st.hooks.gate with
-  | None -> true
-  | Some gate -> (
-    match next_pre st t with None -> true | Some pre -> gate pre)
+(* [next_pre] is a pure function of the thread's own pc, registers, sync
+   stack, status, counter and spawn index.  Only the thread's own step
+   changes those, except [wake], which sets a waiting thread's status;
+   both drop the memo. *)
+let next_pre_memo st (t : vthread) : Event.pre option =
+  if t.pre_ok then t.pre_memo
+  else begin
+    let p = next_pre st t in
+    t.pre_memo <- p;
+    t.pre_ok <- true;
+    p
+  end
+
+let gate_allows (gate : Event.pre -> bool) st (t : vthread) : bool =
+  match next_pre_memo st t with None -> true | Some pre -> gate pre
 
 (* ------------------------------------------------------------------ *)
 (* State construction                                                  *)
@@ -1007,6 +1025,7 @@ let make_state ~(hooks : Interp.hooks) ~plan ~collect_trace ~rng ~steps ~crashes
     rng;
     consts = Array.map value_of_const bp.bc_consts;
     maybe_blocking;
+    cached_enabled = [];
     cached_runnable = [];
     cache_ok = false;
     dirty = false;
@@ -1032,65 +1051,77 @@ let init_state ?(hooks = Interp.default_hooks) ?(plan = Plan.all_shared)
 (* Run loop (mirrors Interp.run_state, plus the runnable cache)        *)
 (* ------------------------------------------------------------------ *)
 
+(* Rebuild the semantically enabled set (the threads themselves only for a
+   gated run, which consults them).  [false] when no thread is live. *)
+let refresh_enabled st ~gated : bool =
+  let enabled = ref [] and tids = ref [] and any_live = ref false in
+  for i = st.n_threads - 1 downto 0 do
+    let t = st.order.(i) in
+    if t.status <> Interp.Finished && t.status <> Interp.Crashed then begin
+      any_live := true;
+      if semantically_enabled st t then begin
+        if gated then enabled := t :: !enabled;
+        tids := t.tid :: !tids
+      end
+    end
+  done;
+  st.cached_enabled <- !enabled;
+  st.cached_runnable <- !tids;
+  st.cache_ok <- !any_live;
+  !any_live
+
+let live_tids st : int list =
+  let live = ref [] in
+  for i = st.n_threads - 1 downto 0 do
+    let t = st.order.(i) in
+    if t.status <> Interp.Finished && t.status <> Interp.Crashed then live := t.tid :: !live
+  done;
+  !live
+
+(* The gate's admissions among the enabled threads, in order. *)
+let rec gate_filter gate st = function
+  | [] -> []
+  | t :: rest ->
+    if gate_allows gate st t then t.tid :: gate_filter gate st rest
+    else gate_filter gate st rest
+
+let find_thread st tid : vthread =
+  let i = ref 0 in
+  while st.order.(!i).tid <> tid do
+    incr i
+  done;
+  st.order.(!i)
+
+(* The semantically enabled set is cached under a gate as well: whether a
+   thread {e can} step is independent of whether the gate {e lets} it, so
+   the same invalidation keeps it exact, and only the (stateful) gate is
+   re-applied each step, over memoized [next_pre]s. *)
 let run_state ?(max_steps = 5_000_000) ?(stop_at = max_int) ~(sched : Sched.t)
     (st : state) : Interp.status_summary option =
-  let gated = st.hooks.gate <> None in
   let finished = ref false in
   let paused = ref false in
   let status = ref Interp.AllFinished in
-  (* 1-entry pick memo: consecutive steps usually run the same thread, so
-     skip the tid hashtable on the repeat *)
-  let memo : vthread option ref = ref None in
+  let gated = st.hooks.gate <> None in
   while (not !finished) && not !paused do
     let runnable =
-      if (not gated) && st.cache_ok then st.cached_runnable
-      else begin
-        let sem_enabled = ref [] and any_live = ref false in
-        for i = st.n_threads - 1 downto 0 do
-          let t = st.order.(i) in
-          if t.status <> Interp.Finished && t.status <> Interp.Crashed then begin
-            any_live := true;
-            if semantically_enabled st t then sem_enabled := t.tid :: !sem_enabled
-          end
-        done;
-        if not !any_live then begin
-          finished := true;
-          status := Interp.AllFinished;
-          []
-        end
-        else begin
-          let sem_enabled = !sem_enabled in
-          let runnable =
-            if not gated then sem_enabled
-            else
-              List.filter
-                (fun tid -> gate_allows st (Hashtbl.find st.threads tid))
-                sem_enabled
-          in
-          if runnable = [] then begin
-            finished := true;
-            (status :=
-               if sem_enabled = [] then begin
-                 let live = ref [] in
-                 for i = st.n_threads - 1 downto 0 do
-                   let t = st.order.(i) in
-                   if t.status <> Interp.Finished && t.status <> Interp.Crashed then
-                     live := t.tid :: !live
-                 done;
-                 Interp.Deadlock !live
-               end
-               else Interp.GateStuck sem_enabled);
-            []
-          end
-          else begin
-            if not gated then begin
-              st.cached_runnable <- runnable;
-              st.cache_ok <- true
-            end;
-            runnable
-          end
-        end
+      if (not st.cache_ok) && not (refresh_enabled st ~gated) then begin
+        finished := true;
+        status := Interp.AllFinished;
+        []
       end
+      else
+        let runnable =
+          match st.hooks.gate with
+          | None -> st.cached_runnable
+          | Some gate -> gate_filter gate st st.cached_enabled
+        in
+        if runnable = [] then begin
+          finished := true;
+          status :=
+            if st.cached_runnable = [] then Interp.Deadlock (live_tids st)
+            else Interp.GateStuck st.cached_runnable
+        end;
+        runnable
     in
     if not !finished then begin
       if st.steps >= max_steps then begin
@@ -1101,20 +1132,14 @@ let run_state ?(max_steps = 5_000_000) ?(stop_at = max_int) ~(sched : Sched.t)
       else begin
         let tid = sched.pick ~step:st.steps ~runnable in
         let tid = if List.mem tid runnable then tid else List.hd runnable in
-        let t =
-          match !memo with
-          | Some m when m.tid = tid -> m
-          | _ ->
-            let x = Hashtbl.find st.threads tid in
-            memo := Some x;
-            x
-        in
+        let t = find_thread st tid in
         st.steps <- st.steps + 1;
         st.dirty <- false;
         (try step_thread st t with
         | Interp.Rt_crash (site, line, msg) ->
           st.crashes <- { Interp.tid; site; line; msg; c = t.d } :: st.crashes;
           finish_thread st t ~crashed:true);
+        t.pre_ok <- false;
         (* cache maintenance: drop it when the transition touched lock /
            status / thread structure, or when the stepped thread rests on
            a possibly-blocking statement head *)
@@ -1313,6 +1338,8 @@ let restore_state ?(hooks = Interp.default_hooks) ?(plan = Plan.all_shared)
           started = snt.sn_started;
           reads_rev = [];
           outputs_rev = [];
+          pre_memo = None;
+          pre_ok = false;
         }
       in
       push_thread st t)

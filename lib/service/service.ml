@@ -46,7 +46,7 @@ type session = {
   ss_max_steps : int;
 }
 
-let session ?(label = "") ?(engine = Vm.Tree) ?(seed = 0)
+let session ?(label = "") ?(engine = Vm.Bytecode) ?(seed = 0)
     ?(max_steps = 5_000_000) ~sched prepared =
   {
     ss_label = label;
@@ -118,7 +118,7 @@ let run ?pool ?(queue_capacity = 64) ?(recycle = true) ?(on_full = `Park)
   in
   let execute (ctx : Light_core.Recorder.t option ref) (i : int) (s : session)
       : unit =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Light_core.Clock.now_s () in
     let recorder =
       if recycle then (
         match !ctx with
@@ -144,7 +144,7 @@ let run ?pool ?(queue_capacity = 64) ?(recycle = true) ?(on_full = `Park)
           ?recorder s.ss_prepared
       with
       | rec_ ->
-        let t1 = Unix.gettimeofday () in
+        let t1 = Light_core.Clock.now_s () in
         let log_str = Light_core.Log.to_string rec_.log in
         {
           sr_label = s.ss_label;
@@ -160,7 +160,7 @@ let run ?pool ?(queue_capacity = 64) ?(recycle = true) ?(on_full = `Park)
       | exception e ->
         (* a faulting session must not take the service down; the fault is
            the session's result *)
-        let t1 = Unix.gettimeofday () in
+        let t1 = Light_core.Clock.now_s () in
         {
           sr_label = s.ss_label;
           sr_status = Failed (Printexc.to_string e);
@@ -184,7 +184,7 @@ let run ?pool ?(queue_capacity = 64) ?(recycle = true) ?(on_full = `Park)
   in
   let produce ctx =
     for i = 0 to n - 1 do
-      submit_t.(i) <- Unix.gettimeofday ();
+      submit_t.(i) <- Light_core.Clock.now_s ();
       let rec submit () =
         match Engine.Bqueue.try_push q (i, sessions.(i)) with
         | `Ok -> ()

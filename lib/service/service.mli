@@ -22,6 +22,9 @@ type session = {
   ss_max_steps : int;
 }
 
+(** One session of [prepared].  [engine] defaults to [Vm.Bytecode], the
+    register VM (as {!Light_core.Light.record_prepared}); [Vm.Tree] records
+    byte-identical logs. *)
 val session :
   ?label:string ->
   ?engine:Vm.engine ->
