@@ -1,50 +1,39 @@
 (** Benchmark harness: regenerates every table and figure of the paper's
-    evaluation (Section 5) and runs Bechamel wall-clock microbenchmarks of
-    the core components.
+    evaluation (Section 5), writes the per-component measurement benches,
+    gates three of them, and runs Bechamel wall-clock microbenchmarks.
 
     Usage:
-      dune exec bench/main.exe              # all experiments (E1-E9)
-      dune exec bench/main.exe fig4         # one experiment
+      dune exec bench/main.exe              # all default experiments
       dune exec bench/main.exe fig4 fig5 table1
-      dune exec bench/main.exe bechamel     # wall-clock microbenches
-    Experiments: fig4 fig5 fig6 fig7 table1 running-example solver bechamel
+      dune exec bench/main.exe check interp # run a bench and gate it
 
-    The [solver] experiment additionally writes BENCH_solver.json — the
-    per-workload constraint-pipeline measurement (pre/post-pruning clause
-    counts, search statistics, generation and solve times) that CI uploads
-    as an artifact.  The [interp] experiment writes BENCH_interp.json —
-    per-workload interpreter throughput (reference vs slot-resolved, native
-    and under each recording variant) with LIGHT_BENCH_ITERS controlling
-    the iteration budget; every steps/sec figure is the median over the
-    timed iterations, with the per-series min/max spread recorded in the
-    JSON.  The [perfcheck] experiment (explicit-only, like [bechamel])
-    repeats the interp measurement and exits nonzero if the record-mode
-    geomean ratio_basic regressed more than 20% against the committed
-    bench/BENCH_interp.baseline.json.  The [analysis] experiment writes
-    BENCH_analysis.json — static-analysis precision, coarse (name buckets)
-    vs sharp (points-to + escape + must-alias locks): instrumented/guarded
-    sites, Section-5 space units, record-overhead ratios, and static race
-    pairs with dynamic happens-before confirmation.  The [sitecheck]
-    experiment (explicit-only) writes BENCH_sitecheck.json — per-workload
-    instrumented/guarded site counts under the default plan, purely
-    static — and exits nonzero if any workload instruments more or guards
-    fewer sites than the committed bench/BENCH_sitecheck.baseline.json
-    (an elision or O2 regression).  The [epochs]
-    experiment (explicit-only: its default budget records 12M steps)
-    writes BENCH_epochs.json — epoch-mode streaming recording of a
-    synthetic service loop under LIGHT_EPOCH_STEPS / LIGHT_EPOCH_LEN,
-    with peak-RSS and per-window log-size evidence for bounded-memory
-    recording, per-epoch incremental solve times, and O(epoch)
-    single-epoch replays.  The [service] experiment (explicit-only) writes
-    BENCH_service.json — the record service under load: LIGHT_SERVICE_SESSIONS
-    sessions over the 28-workload x 3-variant x 2-engine corpus through the
-    bounded-queue dispatcher with recycled recorder arenas, reporting
-    sessions/sec, p50/p99 session latency, peak RSS, and per-session v3-log
-    byte-identity against a serial reference pass and against the naive
-    per-session [Light.record] loop.  The [servicecheck] experiment
-    (explicit-only) repeats it and exits nonzero if identity breaks, any
-    session fails, the speedup over the naive loop drops below 2x, or it
-    regresses more than 50% against bench/BENCH_service.baseline.json.
+    Figures and tables (stdout only): fig4 fig5 fig6 fig7 table1
+    running-example.
+
+    Benches write BENCH_<bench>.json, all in one schema (light-bench/v2:
+    schema, bench, params, per-workload rows, summary):
+    - solver: constraint pipeline per workload and variant (pairs before
+      and clauses after pruning, search statistics, gen/solve times);
+    - interp: interpreter throughput (reference, tree walker, VM; native
+      and under each recording variant and epoch mode), medians over
+      LIGHT_BENCH_ITERS timed iterations with min/max spread; the
+      recording ratios divide native VM steps/sec by recorded steps/sec;
+    - analysis: coarse vs sharp static analysis (sites, space, overhead
+      ratios on the VM, static race pairs with dynamic HB confirmation);
+    - explore: schedule exploration per workload (LIGHT_EXPLORE_FLIPS);
+    - epochs (explicit-only: 12M steps by default, LIGHT_EPOCH_STEPS and
+      LIGHT_EPOCH_LEN shrink it): streaming epoch recording, per-epoch
+      solves, O(epoch) replays, peak RSS;
+    - service (explicit-only; LIGHT_SERVICE_SESSIONS sessions): the record
+      service under load with per-session log identity checks;
+    - sitecheck (only through [check]): instrumented/guarded sites per
+      workload under the default plan.
+
+    The one gate, [check <interp|sitecheck|service>], runs the bench, then
+    re-reads BENCH_<bench>.json and bench/BENCH_<bench>.baseline.json and
+    applies the bench's rules ({!Report.Experiments.gates}); it exits
+    nonzero when a rule fails, a key is missing, or the baseline is
+    missing or unparsable.
 
     Experiments fan out across the engine's domain pool; set LIGHT_JOBS=N
     to choose the pool size (default: one worker per core, capped at 8).
@@ -187,36 +176,19 @@ let () =
   let t0 = Unix.gettimeofday () in
   (match args with
   | [] -> List.iter (fun (_, f) -> f ()) all_experiments
+  | [ "check"; bench ] -> if not (Report.Experiments.perfcheck bench ppf) then exit 1
   | names ->
     List.iter
       (fun n ->
         match List.assoc_opt n all_experiments with
         | Some f -> f ()
         | None when n = "bechamel" -> run_bechamel ()
-        | None when n = "epochs" ->
-          (* explicit-only, like bechamel: the default budget is a 12M-step
-             recording (LIGHT_EPOCH_STEPS reduces it in CI) *)
-          Report.Experiments.epochs_bench () ppf
-        | None when n = "perfcheck" ->
-          (* CI perf smoke: interp measurement + comparison against the
-             committed baseline; nonzero exit on regression *)
-          if not (Report.Experiments.interp_perfcheck () ppf) then exit 1
-        | None when n = "sitecheck" ->
-          (* CI elision gate: static site counts vs the committed baseline;
-             nonzero exit when a workload loses instrumentation precision *)
-          if not (Report.Experiments.sitecheck () ppf) then exit 1
-        | None when n = "service" ->
-          (* explicit-only: drives LIGHT_SERVICE_SESSIONS sessions (default
-             1008) through the record service and writes BENCH_service.json *)
-          Report.Experiments.service_bench () ppf
-        | None when n = "servicecheck" ->
-          (* CI throughput gate: service measurement + byte-identity checks
-             + speedup floor vs the naive record loop and the committed
-             bench/BENCH_service.baseline.json; nonzero exit on failure *)
-          if not (Report.Experiments.service_perfcheck () ppf) then exit 1
+        | None when n = "epochs" -> Report.Experiments.epochs_bench () ppf
+        | None when n = "service" -> Report.Experiments.service_bench () ppf
         | None ->
           Format.printf
-            "unknown experiment %s (have: %s bechamel epochs perfcheck sitecheck service servicecheck)@." n
+            "unknown experiment %s (have: %s bechamel epochs service; check \
+             <interp|sitecheck|service>)@." n
             (String.concat " " (List.map fst all_experiments)))
       names);
   (* wall-clock on stderr: stdout stays byte-identical across runs/pools *)

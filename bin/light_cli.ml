@@ -123,7 +123,7 @@ let analyze_cmd =
     let a = tr_s.analysis in
     if json then begin
       print_endline
-        (Analysis.Lint.Json.to_string
+        (Analysis.Json.to_string
            (Analysis.Lint.analysis_json a ~instrumented:tr_s.instrumented_sites
               ~guarded:tr_s.guarded_sites ~total_sites:tr_s.total_access_sites));
       exit 0
@@ -220,7 +220,7 @@ let lint_cmd =
     let p = resolve target in
     let a = Analysis.Analyze.analyze p in
     if json then
-      print_endline (Analysis.Lint.Json.to_string (Analysis.Lint.report_json a))
+      print_endline (Analysis.Json.to_string (Analysis.Lint.report_json a))
     else print_string (Analysis.Lint.report a)
   in
   let target_arg =

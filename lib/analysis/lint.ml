@@ -13,239 +13,7 @@
       that the sites run bare;
     - a severity score: write/write pairs outrank write/read, lock-free
       pairs outrank partially-locked ones, multi-instance witnesses and
-      global targets add weight.
-
-    The module also hosts the repository's tiny JSON layer (a hand-rolled
-    AST, printer and parser — the repo deliberately has no external JSON
-    dependency): [light lint --json], [light analyze --json] and the
-    [sitecheck] bench gate all speak through it, so their schemas stay in
-    one place and the gate can re-read what it wrote. *)
-
-(* ------------------------------------------------------------------ *)
-(* Minimal JSON                                                        *)
-(* ------------------------------------------------------------------ *)
-
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Float of float
-    | Str of string
-    | List of t list
-    | Obj of (string * t) list
-
-  let escape (s : string) : string =
-    let buf = Buffer.create (String.length s + 2) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
-  let to_string ?(indent = 2) (j : t) : string =
-    let buf = Buffer.create 1024 in
-    let pad n = String.make n ' ' in
-    let rec go depth j =
-      match j with
-      | Null -> Buffer.add_string buf "null"
-      | Bool b -> Buffer.add_string buf (string_of_bool b)
-      | Int i -> Buffer.add_string buf (string_of_int i)
-      | Float f -> Buffer.add_string buf (Printf.sprintf "%.4f" f)
-      | Str s ->
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (escape s);
-        Buffer.add_char buf '"'
-      | List [] -> Buffer.add_string buf "[]"
-      | List xs ->
-        Buffer.add_string buf "[\n";
-        List.iteri
-          (fun i x ->
-            if i > 0 then Buffer.add_string buf ",\n";
-            Buffer.add_string buf (pad ((depth + 1) * indent));
-            go (depth + 1) x)
-          xs;
-        Buffer.add_char buf '\n';
-        Buffer.add_string buf (pad (depth * indent));
-        Buffer.add_char buf ']'
-      | Obj [] -> Buffer.add_string buf "{}"
-      | Obj kvs ->
-        Buffer.add_string buf "{\n";
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_string buf ",\n";
-            Buffer.add_string buf (pad ((depth + 1) * indent));
-            Buffer.add_char buf '"';
-            Buffer.add_string buf (escape k);
-            Buffer.add_string buf "\": ";
-            go (depth + 1) v)
-          kvs;
-        Buffer.add_char buf '\n';
-        Buffer.add_string buf (pad (depth * indent));
-        Buffer.add_char buf '}'
-    in
-    go 0 j;
-    Buffer.contents buf
-
-  exception Parse_error of string
-
-  (** Recursive-descent parser for the subset [to_string] emits (which is
-      a subset of standard JSON, so externally edited baselines parse
-      too). *)
-  let of_string (s : string) : t =
-    let n = String.length s in
-    let pos = ref 0 in
-    let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      match peek () with
-      | Some c' when c' = c -> advance ()
-      | _ -> fail (Printf.sprintf "expected '%c'" c)
-    in
-    let literal word v =
-      if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-      then begin
-        pos := !pos + String.length word;
-        v
-      end
-      else fail ("expected " ^ word)
-    in
-    let parse_string () =
-      expect '"';
-      let buf = Buffer.create 16 in
-      let rec go () =
-        match peek () with
-        | None -> fail "unterminated string"
-        | Some '"' -> advance ()
-        | Some '\\' ->
-          advance ();
-          (match peek () with
-          | Some '"' -> Buffer.add_char buf '"'
-          | Some '\\' -> Buffer.add_char buf '\\'
-          | Some '/' -> Buffer.add_char buf '/'
-          | Some 'n' -> Buffer.add_char buf '\n'
-          | Some 't' -> Buffer.add_char buf '\t'
-          | Some 'r' -> Buffer.add_char buf '\r'
-          | Some 'b' -> Buffer.add_char buf '\b'
-          | Some 'f' -> Buffer.add_char buf '\012'
-          | Some 'u' ->
-            if !pos + 4 >= n then fail "truncated \\u escape";
-            let code = int_of_string ("0x" ^ String.sub s (!pos + 1) 4) in
-            pos := !pos + 4;
-            (* the printer only emits \u for control bytes; decode those *)
-            if code < 0x100 then Buffer.add_char buf (Char.chr code)
-            else fail "non-latin \\u escape"
-          | _ -> fail "bad escape");
-          advance ();
-          go ()
-        | Some c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-      in
-      go ();
-      Buffer.contents buf
-    in
-    let parse_number () =
-      let start = !pos in
-      let is_num c =
-        match c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
-      in
-      while (match peek () with Some c when is_num c -> true | _ -> false) do
-        advance ()
-      done;
-      let tok = String.sub s start (!pos - start) in
-      match int_of_string_opt tok with
-      | Some i -> Int i
-      | None -> (
-        match float_of_string_opt tok with
-        | Some f -> Float f
-        | None -> fail ("bad number " ^ tok))
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | None -> fail "unexpected end of input"
-      | Some 'n' -> literal "null" Null
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some '"' -> Str (parse_string ())
-      | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          List []
-        end
-        else begin
-          let items = ref [ parse_value () ] in
-          skip_ws ();
-          while peek () = Some ',' do
-            advance ();
-            items := parse_value () :: !items;
-            skip_ws ()
-          done;
-          expect ']';
-          List (List.rev !items)
-        end
-      | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let field () =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            (k, v)
-          in
-          let kvs = ref [ field () ] in
-          skip_ws ();
-          while peek () = Some ',' do
-            advance ();
-            kvs := field () :: !kvs;
-            skip_ws ()
-          done;
-          expect '}';
-          Obj (List.rev !kvs)
-        end
-      | Some c -> (
-        match c with
-        | '0' .. '9' | '-' -> parse_number ()
-        | _ -> fail (Printf.sprintf "unexpected '%c'" c))
-    in
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing input";
-    v
-
-  (* accessors used by the sitecheck gate when re-reading a baseline *)
-  let member (k : string) = function Obj kvs -> List.assoc_opt k kvs | _ -> None
-  let to_int = function Int i -> Some i | _ -> None
-  let to_list = function List xs -> Some xs | _ -> None
-  let to_str = function Str s -> Some s | _ -> None
-end
+      global targets add weight. *)
 
 (* ------------------------------------------------------------------ *)
 (* Findings                                                            *)

@@ -901,98 +901,3 @@ let measure ?budget ?fresh_budget ?limit ~label (ctx : context) : stats =
     st_fresh_aborted = !fresh_aborted;
     st_sched_per_s = (if wall > 0.0 then float_of_int n /. wall else 0.0);
   }
-
-(* ------------------------------------------------------------------ *)
-(* JSON round-trip                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let stats_to_json (ms : stats list) : string =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n  \"rows\": [\n";
-  List.iteri
-    (fun i m ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"workload\": %S, \"candidates\": %d, \"same\": %d, \
-            \"divergent\": %d, \"crashed\": %d, \"stuck\": %d, \
-            \"infeasible\": %d, \"aborted\": %d, \"resolve_s\": %.6f, \
-            \"fresh_s\": %.6f, \"fresh_aborted\": %d, \"sched_per_s\": %.2f}%s\n"
-           m.st_label m.st_candidates m.st_same m.st_divergent m.st_crashed
-           m.st_stuck m.st_infeasible m.st_aborted m.st_resolve_s m.st_fresh_s
-           m.st_fresh_aborted m.st_sched_per_s
-           (if i = List.length ms - 1 then "" else ",")))
-    ms;
-  let tot f = List.fold_left (fun a m -> a +. f m) 0.0 ms in
-  let resolve = tot (fun m -> m.st_resolve_s)
-  and fresh = tot (fun m -> m.st_fresh_s) in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  ],\n  \"resolve_total_s\": %.6f,\n  \"fresh_total_s\": %.6f,\n  \
-        \"speedup\": %.2f\n}\n"
-       resolve fresh
-       (if resolve > 0.0 then fresh /. resolve else 0.0));
-  Buffer.contents buf
-
-(* parsing partner: accepts exactly [stats_to_json]'s output shape *)
-let stats_of_json (s : string) : stats list =
-  let find_sub (hay : string) (needle : string) (from : int) : int option =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i =
-      if i + nn > nh then None
-      else if String.sub hay i nn = needle then Some i
-      else go (i + 1)
-    in
-    go from
-  in
-  let field obj key =
-    match find_sub obj ("\"" ^ key ^ "\": ") 0 with
-    | None -> failwith ("missing field " ^ key)
-    | Some i ->
-      let start = i + String.length key + 4 in
-      let stop = ref start in
-      let depth_str = ref (obj.[start] = '"') in
-      if !depth_str then begin
-        (* skip the opening quote, scan to the closing one (no escapes in
-           workload labels) *)
-        incr stop;
-        while obj.[!stop] <> '"' do incr stop done;
-        String.sub obj start (!stop - start + 1)
-      end
-      else begin
-        while
-          !stop < String.length obj
-          && obj.[!stop] <> ',' && obj.[!stop] <> '}'
-        do
-          incr stop
-        done;
-        String.sub obj start (!stop - start)
-      end
-  in
-  let fint o k = int_of_string (field o k)
-  and ffloat o k = float_of_string (field o k)
-  and fstr o k = Scanf.sscanf (field o k) "%S" Fun.id in
-  let rec objects from acc =
-    match find_sub s "{\"workload\"" from with
-    | None -> List.rev acc
-    | Some i ->
-      let j = ref i in
-      while s.[!j] <> '}' do incr j done;
-      objects (!j + 1) (String.sub s i (!j - i + 1) :: acc)
-  in
-  List.map
-    (fun o ->
-      {
-        st_label = fstr o "workload";
-        st_candidates = fint o "candidates";
-        st_same = fint o "same";
-        st_divergent = fint o "divergent";
-        st_crashed = fint o "crashed";
-        st_stuck = fint o "stuck";
-        st_infeasible = fint o "infeasible";
-        st_aborted = fint o "aborted";
-        st_resolve_s = ffloat o "resolve_s";
-        st_fresh_s = ffloat o "fresh_s";
-        st_fresh_aborted = fint o "fresh_aborted";
-        st_sched_per_s = ffloat o "sched_per_s";
-      })
-    (objects 0 [])

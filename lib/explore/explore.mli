@@ -241,8 +241,3 @@ val measure :
 (** Serial per-workload measurement (run {e inside} a per-workload pool
     job; it must not fan out again): every candidate is re-solved hinted
     and fresh, executed, and classified. *)
-
-val stats_to_json : stats list -> string
-val stats_of_json : string -> stats list
-(** Round-trip partner of {!stats_to_json} (accepts exactly its output
-    format; used by the bench artifact test). *)

@@ -2,6 +2,7 @@
     `bench/main.exe` calls these; see DESIGN.md's experiment index. *)
 
 open Runtime
+module J = Analysis.Json
 
 (* ------------------------------------------------------------------ *)
 (* Per-benchmark measurement (Figures 4, 5, 7)                          *)
@@ -20,10 +21,9 @@ type bench_measure = {
   light_both : tool_measure;
 }
 
-let measure_benchmark ?(scale = 1) ?(seed = 7) (bm : Workloads.benchmark) :
-    bench_measure =
-  let p = Workloads.program ~scale bm in
-  let sched () = Workloads.scheduler ~seed bm in
+let measure_benchmark (bm : Workloads.benchmark) : bench_measure =
+  let p = Workloads.program bm in
+  let sched () = Workloads.scheduler bm in
   let tr = Instrument.Transformer.transform p in
   let plan = tr.plan in
   (* Leap *)
@@ -72,13 +72,37 @@ let measure_benchmark ?(scale = 1) ?(seed = 7) (bm : Workloads.benchmark) :
    on the 24-benchmark paper set — their captions compare against the
    paper's x/24 counts; the message-passing additions are covered by the
    solver/interp/analysis/explore benches, which run [Workloads.all]. *)
-let measure_all ?scale ?seed ?pool () : bench_measure list =
-  Engine.Batch.map ?pool Workloads.paper ~f:(measure_benchmark ?scale ?seed)
+let measure_all ?pool () : bench_measure list =
+  Engine.Batch.map ?pool Workloads.paper ~f:measure_benchmark
 
 (* Wall-clock columns (solver/replay seconds) are hidden unless LIGHT_TIMINGS
    is set: default output must not depend on machine speed or pool size. *)
 let show_timings () = Sys.getenv_opt "LIGHT_TIMINGS" <> None
 let timing_cell s = if show_timings () then s else "-"
+
+(* ------------------------------------------------------------------ *)
+(* Bench artifacts: one schema for every BENCH_<bench>.json              *)
+(* ------------------------------------------------------------------ *)
+
+let bench_path bench = "BENCH_" ^ bench ^ ".json"
+let baseline_path bench = "bench/BENCH_" ^ bench ^ ".baseline.json"
+
+(* Every bench writes {"schema", "bench", "params", "rows", "summary"};
+   each row is one workload's object, led by its "workload" key. *)
+let write_bench bench ~params ~rows ~summary ppf : unit =
+  let j =
+    J.Obj
+      [
+        ("schema", J.Str "light-bench/v2");
+        ("bench", J.Str bench);
+        ("params", J.Obj params);
+        ("rows", J.List (List.map (fun r -> J.Obj r) rows));
+        ("summary", J.Obj summary);
+      ]
+  in
+  Out_channel.with_open_text (bench_path bench) (fun oc ->
+      Out_channel.output_string oc (J.to_string j ^ "\n"));
+  Fmt.pf ppf "  full measurement (with timings) written to %s@.@." (bench_path bench)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 4 / aggregate time table                                      *)
@@ -217,9 +241,11 @@ type solver_measure = {
 let solver_variants =
   [ Light_core.Light.v_basic; Light_core.Light.v_both ]
 
-let measure_solver ?(seed = 3)
-    ((bm : Workloads.benchmark), (variant : Light_core.Light.variant)) :
+let solver_seed = 3
+
+let measure_solver ((bm : Workloads.benchmark), (variant : Light_core.Light.variant)) :
     solver_measure =
+  let seed = solver_seed in
   let p = Workloads.program bm in
   let r =
     Light_core.Light.record ~variant ~sched:(Workloads.scheduler ~seed bm) ~seed p
@@ -248,39 +274,18 @@ let measure_solver ?(seed = 3)
     sm_solve_s = report.solve_time_s;
   }
 
-let solver_json (ms : solver_measure list) : string =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"rows\": [\n";
-  List.iteri
-    (fun i m ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"workload\": %S, \"variant\": %S, \"vars\": %d, \"hard\": %d, \
-            \"pairs_pre_pruning\": %d, \"clauses\": %d, \"pruned\": %d, \
-            \"unit_reduced\": %d, \"deduped\": %d, \"result\": %S, \
-            \"decisions\": %d, \"backtracks\": %d, \"conflicts\": %d, \
-            \"gen_s\": %.4f, \"solve_s\": %.4f}%s\n"
-           m.sm_bm m.sm_variant m.sm_vars m.sm_hard m.sm_pairs m.sm_clauses
-           m.sm_pruned m.sm_unit m.sm_dedup m.sm_result m.sm_decisions
-           m.sm_backtracks m.sm_conflicts m.sm_gen_s m.sm_solve_s
-           (if i = List.length ms - 1 then "" else ",")))
-    ms;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
-
 (* Per-workload constraint pipeline report: generation pruning ratios and
    solver search statistics for the uncompressed (v_basic) and default
    (O1+O2) logs.  Counts on stdout are deterministic; the wall-clock
    columns hide behind LIGHT_TIMINGS, and the full measurement — times
-   included — lands in [json_path] for the CI artifact. *)
-let solver_bench ?(seed = 3) ?(json_path = "BENCH_solver.json") ?pool () ppf :
-    unit =
+   included — lands in BENCH_solver.json for the CI artifact. *)
+let solver_bench ?pool () ppf : unit =
   let grid =
     List.concat_map
       (fun bm -> List.map (fun v -> (bm, v)) solver_variants)
       Workloads.all
   in
-  let ms = Engine.Batch.map ?pool grid ~f:(measure_solver ~seed) in
+  let ms = Engine.Batch.map ?pool grid ~f:measure_solver in
   Chart.table
     ~title:
       "Constraint pipeline (per-workload: noninterference pairs before pruning, \
@@ -306,6 +311,7 @@ let solver_bench ?(seed = 3) ?(json_path = "BENCH_solver.json") ?pool () ppf :
        ms)
     ppf;
   let tot f = List.fold_left (fun a m -> a + f m) 0 ms in
+  let totf f = List.fold_left (fun a m -> a +. f m) 0. ms in
   Fmt.pf ppf
     "  pruning: %d pairs -> %d clauses (%d entailed, %d unit-reduced, %d deduped)@."
     (tot (fun m -> m.sm_pairs))
@@ -313,11 +319,32 @@ let solver_bench ?(seed = 3) ?(json_path = "BENCH_solver.json") ?pool () ppf :
     (tot (fun m -> m.sm_pruned))
     (tot (fun m -> m.sm_unit))
     (tot (fun m -> m.sm_dedup));
-  let aborted = List.filter (fun m -> m.sm_result <> "sat") ms in
-  Fmt.pf ppf "  unsolved cells: %d/%d@." (List.length aborted) (List.length ms);
-  Out_channel.with_open_text json_path (fun oc ->
-      Out_channel.output_string oc (solver_json ms));
-  Fmt.pf ppf "  full measurement (with timings) written to %s@.@." json_path
+  let unsolved = List.length (List.filter (fun m -> m.sm_result <> "sat") ms) in
+  Fmt.pf ppf "  unsolved cells: %d/%d@." unsolved (List.length ms);
+  write_bench "solver" ppf
+    ~params:[ ("seed", J.Int solver_seed) ]
+    ~rows:
+      (List.map
+         (fun m ->
+           [
+             ("workload", J.Str m.sm_bm); ("variant", J.Str m.sm_variant);
+             ("vars", J.Int m.sm_vars); ("hard", J.Int m.sm_hard);
+             ("pairs_pre_pruning", J.Int m.sm_pairs); ("clauses", J.Int m.sm_clauses);
+             ("pruned", J.Int m.sm_pruned); ("unit_reduced", J.Int m.sm_unit);
+             ("deduped", J.Int m.sm_dedup); ("result", J.Str m.sm_result);
+             ("decisions", J.Int m.sm_decisions); ("backtracks", J.Int m.sm_backtracks);
+             ("conflicts", J.Int m.sm_conflicts); ("gen_s", J.Float m.sm_gen_s);
+             ("solve_s", J.Float m.sm_solve_s);
+           ])
+         ms)
+    ~summary:
+      [
+        ("pairs_pre_pruning", J.Int (tot (fun m -> m.sm_pairs)));
+        ("clauses", J.Int (tot (fun m -> m.sm_clauses)));
+        ("unsolved", J.Int unsolved);
+        ("gen_s", J.Float (totf (fun m -> m.sm_gen_s)));
+        ("solve_s", J.Float (totf (fun m -> m.sm_solve_s)));
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* Interpreter throughput (BENCH_interp.json)                           *)
@@ -332,9 +359,9 @@ type interp_measure = {
   im_bm : string;
   im_steps : int;     (* steps of one uninstrumented run *)
   im_ref : series;    (* reference interpreter (string-keyed), native *)
-  im_native : series; (* slot-resolved interpreter, native *)
-  im_vm : series;     (* register-bytecode VM, native *)
-  im_basic : series;  (* under Light recording, uncompressed *)
+  im_native : series; (* slot-resolved tree walker, native *)
+  im_vm : series;     (* register-bytecode VM, native: the ratios' base *)
+  im_basic : series;  (* under Light recording (on the VM), uncompressed *)
   im_o1 : series;
   im_both : series;
   im_epoch : series;  (* v_basic recording in epoch mode (~8 epochs/run) *)
@@ -346,17 +373,16 @@ let bench_iters () =
   | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> 5)
   | None -> 5
 
-(* steps/second of [run]: one warmup execution (whose step count is
-   returned), then [iters] individually timed executions *)
-let steps_per_sec ~iters (run : unit -> Interp.outcome) : int * series =
-  let o0 = run () in
-  let steps = float_of_int o0.steps in
+(* steps/second of [run], which executes [steps] steps: one warmup
+   execution, then [iters] individually timed executions *)
+let steps_per_sec ~iters ~steps (run : unit -> unit) : series =
+  run ();
   let samples =
     Array.init iters (fun _ ->
         let t0 = Unix.gettimeofday () in
-        ignore (run ());
+        run ();
         let dt = Unix.gettimeofday () -. t0 in
-        steps /. Float.max dt 1e-9)
+        float_of_int steps /. Float.max dt 1e-9)
   in
   Array.sort compare samples;
   let n = Array.length samples in
@@ -364,58 +390,47 @@ let steps_per_sec ~iters (run : unit -> Interp.outcome) : int * series =
     if n land 1 = 1 then samples.(n / 2)
     else 0.5 *. (samples.((n / 2) - 1) +. samples.(n / 2))
   in
-  (o0.steps, { sps_med = med; sps_min = samples.(0); sps_max = samples.(n - 1) })
+  { sps_med = med; sps_min = samples.(0); sps_max = samples.(n - 1) }
 
-let measure_interp ?(seed = 7) ~iters (bm : Workloads.benchmark) : interp_measure =
+(* seed of every timed run: recorded runs and the native VM run they are
+   divided by execute the same schedule and the same steps *)
+let timing_seed = 7
+
+let measure_interp ~iters (bm : Workloads.benchmark) : interp_measure =
+  let seed = timing_seed in
   let p = Workloads.program bm in
   let sched () = Workloads.scheduler ~seed bm in
   let cp = Interp.compile p in
-  let steps, native =
-    steps_per_sec ~iters (fun () -> Interp.run_compiled ~sched:(sched ()) cp)
-  in
   let bp = Lang.Compile.lower cp in
-  let _, vm = steps_per_sec ~iters (fun () -> Vm.run_program ~sched:(sched ()) bp) in
-  let _, ref_ = steps_per_sec ~iters (fun () -> Interp_ref.run ~sched:(sched ()) p) in
+  let run_vm () = Vm.run_program ~sched:(sched ()) ~seed bp in
+  let steps = (run_vm ()).steps in
+  let time run = steps_per_sec ~iters ~steps (fun () -> ignore (run ())) in
+  let vm = time run_vm in
+  (* the tree walker only backs [vm_speedup]; every recording ratio is
+     VM over VM, the engine [record_prepared] runs on *)
+  let native = time (fun () -> Interp.run_compiled ~sched:(sched ()) ~seed cp) in
+  let ref_ = time (fun () -> Interp_ref.run ~sched:(sched ()) ~seed p) in
   (* instrument once, record every iteration: the analysis and the slot
      resolution are prepare-time costs (measured by the analysis bench);
      what this bench times is the recording fast path *)
   let record variant =
     let pp = Light_core.Light.prepare ~variant p in
-    fun () -> (Light_core.Light.record_prepared ~sched:(sched ()) ~seed pp).outcome
+    time (fun () -> Light_core.Light.record_prepared ~sched:(sched ()) ~seed pp)
   in
-  let _, basic = steps_per_sec ~iters (record Light_core.Light.v_basic) in
-  let _, o1 = steps_per_sec ~iters (record Light_core.Light.v_o1) in
-  let _, both = steps_per_sec ~iters (record Light_core.Light.v_both) in
+  let basic = record Light_core.Light.v_basic in
+  let o1 = record Light_core.Light.v_o1 in
+  let both = record Light_core.Light.v_both in
   (* epoch mode on the same fast path: checkpoint + seal ~8 times per run,
      so the series prices the boundary work (snapshot, arena seal,
      last-write clear) on top of v_basic recording.  The production
      streaming shape (seal, hand off, drop) is what's timed — like the
      monolithic series, it ends at in-memory sealed logs. *)
-  let record_epoch =
+  let epoch =
     let pp = Light_core.Light.prepare ~variant:Light_core.Light.v_basic p in
     let epoch_len = max 512 ((steps / 8) + 1) in
-    fun () ->
-      ignore
-        (Light_core.Epoch.record_epochs_stream ~sched:(sched ()) ~seed
-           ~epoch_len ~emit:ignore pp)
-  in
-  let epoch =
-    let sps = float_of_int steps in
-    record_epoch ();  (* warmup, like [steps_per_sec] *)
-    let samples =
-      Array.init iters (fun _ ->
-          let t0 = Unix.gettimeofday () in
-          record_epoch ();
-          let dt = Unix.gettimeofday () -. t0 in
-          sps /. Float.max dt 1e-9)
-    in
-    Array.sort compare samples;
-    let n = Array.length samples in
-    let med =
-      if n land 1 = 1 then samples.(n / 2)
-      else 0.5 *. (samples.((n / 2) - 1) +. samples.(n / 2))
-    in
-    { sps_med = med; sps_min = samples.(0); sps_max = samples.(n - 1) }
+    time (fun () ->
+        Light_core.Epoch.record_epochs_stream ~sched:(sched ()) ~seed ~epoch_len
+          ~emit:ignore pp)
   in
   {
     im_bm = bm.name;
@@ -429,76 +444,58 @@ let measure_interp ?(seed = 7) ~iters (bm : Workloads.benchmark) : interp_measur
     im_epoch = epoch;
   }
 
-let geomean (f : interp_measure -> float) (ms : interp_measure list) : float =
-  exp (List.fold_left (fun a m -> a +. log (f m)) 0. ms /. float_of_int (List.length ms))
+let geomean (xs : float list) : float =
+  exp (List.fold_left (fun a x -> a +. log x) 0. xs /. float_of_int (List.length xs))
 
 (* relative iteration spread of a series, (max - min) / median *)
 let spread (s : series) : float = (s.sps_max -. s.sps_min) /. Float.max s.sps_med 1e-9
 
-let interp_json ~iters (ms : interp_measure list) : string =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf (Printf.sprintf "{\n  \"iters\": %d,\n  \"rows\": [\n" iters);
-  List.iteri
-    (fun i m ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"workload\": %S, \"steps\": %d, \"ref_sps\": %.0f, \
-            \"native_sps\": %.0f, \"vm_sps\": %.0f, \"basic_sps\": %.0f, \
-            \"o1_sps\": %.0f, \
-            \"both_sps\": %.0f, \"epoch_sps\": %.0f, \"speedup_vs_ref\": %.2f, \
-            \"vm_speedup\": %.2f, \
-            \"ratio_basic\": %.2f, \"ratio_o1\": %.2f, \"ratio_both\": %.2f, \
-            \"ratio_epoch\": %.2f,\n\
-           \     \"native_sps_min\": %.0f, \"native_sps_max\": %.0f, \
-            \"vm_sps_min\": %.0f, \"vm_sps_max\": %.0f, \
-            \"basic_sps_min\": %.0f, \"basic_sps_max\": %.0f, \
-            \"o1_sps_min\": %.0f, \"o1_sps_max\": %.0f, \
-            \"both_sps_min\": %.0f, \"both_sps_max\": %.0f, \
-            \"epoch_sps_min\": %.0f, \"epoch_sps_max\": %.0f, \
-            \"native_spread\": %.3f}%s\n"
-           m.im_bm m.im_steps m.im_ref.sps_med m.im_native.sps_med
-           m.im_vm.sps_med
-           m.im_basic.sps_med m.im_o1.sps_med m.im_both.sps_med
-           m.im_epoch.sps_med
-           (m.im_native.sps_med /. m.im_ref.sps_med)
-           (m.im_vm.sps_med /. m.im_native.sps_med)
-           (m.im_native.sps_med /. m.im_basic.sps_med)
-           (m.im_native.sps_med /. m.im_o1.sps_med)
-           (m.im_native.sps_med /. m.im_both.sps_med)
-           (m.im_native.sps_med /. m.im_epoch.sps_med)
-           m.im_native.sps_min m.im_native.sps_max
-           m.im_vm.sps_min m.im_vm.sps_max
-           m.im_basic.sps_min
-           m.im_basic.sps_max m.im_o1.sps_min m.im_o1.sps_max m.im_both.sps_min
-           m.im_both.sps_max m.im_epoch.sps_min m.im_epoch.sps_max
-           (spread m.im_native)
-           (if i = List.length ms - 1 then "" else ",")))
-    ms;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  ],\n  \"geomean\": {\"speedup_vs_ref\": %.2f, \"vm_speedup\": %.2f, \
-        \"ratio_basic\": %.2f, \
-        \"ratio_o1\": %.2f, \"ratio_both\": %.2f, \"ratio_epoch\": %.2f}\n}\n"
-       (geomean (fun m -> m.im_native.sps_med /. m.im_ref.sps_med) ms)
-       (geomean (fun m -> m.im_vm.sps_med /. m.im_native.sps_med) ms)
-       (geomean (fun m -> m.im_native.sps_med /. m.im_basic.sps_med) ms)
-       (geomean (fun m -> m.im_native.sps_med /. m.im_o1.sps_med) ms)
-       (geomean (fun m -> m.im_native.sps_med /. m.im_both.sps_med) ms)
-       (geomean (fun m -> m.im_native.sps_med /. m.im_epoch.sps_med) ms));
-  Buffer.contents buf
+(* the interp bench's derived ratios, per row and (as geomeans) in the
+   summary; every recording ratio divides native VM steps/sec by recorded *)
+let interp_ratios : (string * (interp_measure -> float)) list =
+  let over a b m = (a m).sps_med /. (b m).sps_med in
+  [
+    ("speedup_vs_ref", over (fun m -> m.im_native) (fun m -> m.im_ref));
+    ("vm_speedup", over (fun m -> m.im_vm) (fun m -> m.im_native));
+    ("ratio_basic", over (fun m -> m.im_vm) (fun m -> m.im_basic));
+    ("ratio_o1", over (fun m -> m.im_vm) (fun m -> m.im_o1));
+    ("ratio_both", over (fun m -> m.im_vm) (fun m -> m.im_both));
+    ("ratio_epoch", over (fun m -> m.im_vm) (fun m -> m.im_epoch));
+  ]
 
-(* Per-workload interpreter throughput: the slot-resolved interpreter
-   against the string-keyed reference (native, uninstrumented), and the
-   per-variant recording-overhead ratios (native steps/sec divided by
-   recorded steps/sec).  All steps/sec cells are the median over the timed
-   iterations.  Runs sequentially — timing inside the domain pool would
-   measure contention, not the interpreter.  Step counts on stdout are
-   deterministic; every wall-clock-derived column hides behind
-   LIGHT_TIMINGS, and the full measurement (with per-series min/max) lands
-   in [json_path] for CI. *)
-let run_interp_measurements ~seed ppf : int * interp_measure list =
+let interp_series : (string * (interp_measure -> series)) list =
+  [
+    ("ref", fun m -> m.im_ref); ("native", fun m -> m.im_native);
+    ("vm", fun m -> m.im_vm); ("basic", fun m -> m.im_basic);
+    ("o1", fun m -> m.im_o1); ("both", fun m -> m.im_both);
+    ("epoch", fun m -> m.im_epoch);
+  ]
+
+let interp_row (m : interp_measure) : (string * J.t) list =
+  let sps name f = (name ^ "_sps", J.Float (f m).sps_med) in
+  let range (name, f) =
+    [ (name ^ "_sps_min", J.Float (f m).sps_min); (name ^ "_sps_max", J.Float (f m).sps_max) ]
+  in
+  (("workload", J.Str m.im_bm) :: ("steps", J.Int m.im_steps)
+   :: List.map (fun (name, f) -> sps name f) interp_series)
+  @ List.map (fun (k, f) -> (k, J.Float (f m))) interp_ratios
+  @ List.concat_map range (List.tl interp_series)
+  @ [ ("native_spread", J.Float (spread m.im_native)) ]
+
+(* Per-workload interpreter throughput: the slot-resolved tree walker
+   against the string-keyed reference and the register VM (native,
+   uninstrumented), and the per-variant recording-overhead ratios (native
+   VM steps/sec divided by recorded steps/sec, recording also on the VM).
+   All steps/sec cells are the median over the timed iterations.  Runs
+   sequentially — timing inside the domain pool would measure contention,
+   not the interpreter.  Step counts on stdout are deterministic; every
+   wall-clock-derived column hides behind LIGHT_TIMINGS, and the full
+   measurement (with per-series min/max) lands in BENCH_interp.json. *)
+let interp_bench () ppf : unit =
   let iters = bench_iters () in
-  let ms = List.map (measure_interp ~seed ~iters) Workloads.all in
+  let ms = List.map (measure_interp ~iters) Workloads.all in
+  let ratio k = List.assoc k interp_ratios in
+  let gm k = geomean (List.map (ratio k) ms) in
   let f1 v = Printf.sprintf "%.1f" v in
   let k sps = Printf.sprintf "%.0fk" (sps /. 1e3) in
   Chart.table
@@ -510,22 +507,12 @@ let run_interp_measurements ~seed ppf : int * interp_measure list =
         "o1"; "o1+o2"; "epoch"; "xbasic"; "xo1"; "xo1+o2"; "xepoch" ]
     (List.map
        (fun m ->
+         let kc s = timing_cell (k s.sps_med) and rc key = timing_cell (f1 (ratio key m)) in
          [
-           m.im_bm;
-           string_of_int m.im_steps;
-           timing_cell (k m.im_ref.sps_med);
-           timing_cell (k m.im_native.sps_med);
-           timing_cell (k m.im_vm.sps_med);
-           timing_cell (f1 (m.im_native.sps_med /. m.im_ref.sps_med));
-           timing_cell (f1 (m.im_vm.sps_med /. m.im_native.sps_med));
-           timing_cell (k m.im_basic.sps_med);
-           timing_cell (k m.im_o1.sps_med);
-           timing_cell (k m.im_both.sps_med);
-           timing_cell (k m.im_epoch.sps_med);
-           timing_cell (f1 (m.im_native.sps_med /. m.im_basic.sps_med));
-           timing_cell (f1 (m.im_native.sps_med /. m.im_o1.sps_med));
-           timing_cell (f1 (m.im_native.sps_med /. m.im_both.sps_med));
-           timing_cell (f1 (m.im_native.sps_med /. m.im_epoch.sps_med));
+           m.im_bm; string_of_int m.im_steps; kc m.im_ref; kc m.im_native; kc m.im_vm;
+           rc "speedup_vs_ref"; rc "vm_speedup"; kc m.im_basic; kc m.im_o1;
+           kc m.im_both; kc m.im_epoch; rc "ratio_basic"; rc "ratio_o1";
+           rc "ratio_both"; rc "ratio_epoch";
          ])
        ms)
     ppf;
@@ -533,15 +520,12 @@ let run_interp_measurements ~seed ppf : int * interp_measure list =
     (List.fold_left (fun a m -> a + m.im_steps) 0 ms);
   if show_timings () then begin
     Fmt.pf ppf
-      "  geomean: %.2fx vs reference (VM %.2fx vs native); record overhead \
-       %.2fx basic, %.2fx O1, %.2fx O1+O2@."
-      (geomean (fun m -> m.im_native.sps_med /. m.im_ref.sps_med) ms)
-      (geomean (fun m -> m.im_vm.sps_med /. m.im_native.sps_med) ms)
-      (geomean (fun m -> m.im_native.sps_med /. m.im_basic.sps_med) ms)
-      (geomean (fun m -> m.im_native.sps_med /. m.im_o1.sps_med) ms)
-      (geomean (fun m -> m.im_native.sps_med /. m.im_both.sps_med) ms);
+      "  geomean: %.2fx vs reference (VM %.2fx vs tree); record overhead on \
+       the VM %.2fx basic, %.2fx O1, %.2fx O1+O2@."
+      (gm "speedup_vs_ref") (gm "vm_speedup") (gm "ratio_basic") (gm "ratio_o1")
+      (gm "ratio_both");
     Fmt.pf ppf "  native min-of-iters geomean: %.0fk steps/sec@."
-      (geomean (fun m -> m.im_native.sps_min) ms /. 1e3);
+      (geomean (List.map (fun m -> m.im_native.sps_min) ms) /. 1e3);
     let worst =
       List.fold_left
         (fun (wn, ws) m ->
@@ -552,100 +536,10 @@ let run_interp_measurements ~seed ppf : int * interp_measure list =
     Fmt.pf ppf "  worst native iteration spread: %.0f%% (%s)@."
       (100. *. snd worst) (fst worst)
   end;
-  (iters, ms)
-
-let interp_bench ?(seed = 7) ?(json_path = "BENCH_interp.json") () ppf : unit =
-  let iters, ms = run_interp_measurements ~seed ppf in
-  Out_channel.with_open_text json_path (fun oc ->
-      Out_channel.output_string oc (interp_json ~iters ms));
-  Fmt.pf ppf "  full measurement (with timings) written to %s@.@." json_path
-
-(* scan a BENCH_interp.json for the geomean block's [key] value; a full
-   JSON parser would be a dependency for one float *)
-let scan_geomean_field (json : string) (key : string) : float option =
-  let find_from (sub : string) (from : int) : int option =
-    let n = String.length json and k = String.length sub in
-    let rec go i =
-      if i + k > n then None
-      else if String.sub json i k = sub then Some (i + k)
-      else go (i + 1)
-    in
-    go from
-  in
-  match find_from "\"geomean\"" 0 with
-  | None -> None
-  | Some g -> (
-    match find_from (Printf.sprintf "%S: " key) g with
-    | None -> None
-    | Some v ->
-      let e = ref v in
-      let n = String.length json in
-      while
-        !e < n
-        && (match json.[!e] with '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true | _ -> false)
-      do
-        incr e
-      done;
-      float_of_string_opt (String.sub json v (!e - v)))
-
-(* CI perf smoke: measure fresh, write [json_path], and compare the
-   record-mode geomean against the committed baseline.  Returns [false]
-   (fail the job) if [ratio_basic] regressed by more than [threshold]
-   relative — generous, because shared runners are noisy; the uploaded
-   artifact carries the full per-workload spread for forensics.  A second
-   gate holds epoch-mode recording to the monolithic fast path: both
-   geomeans come from the same process and iteration budget, so the
-   [epoch_threshold] can be tight (the boundary work — snapshot, seal,
-   last-write clear — must stay amortized across the window). *)
-let interp_perfcheck ?(seed = 7)
-    ?(baseline_path = "bench/BENCH_interp.baseline.json")
-    ?(json_path = "BENCH_interp.json") ?(threshold = 0.20)
-    ?(epoch_threshold = 0.10) () ppf : bool =
-  let iters, ms = run_interp_measurements ~seed ppf in
-  Out_channel.with_open_text json_path (fun oc ->
-      Out_channel.output_string oc (interp_json ~iters ms));
-  Fmt.pf ppf "  full measurement (with timings) written to %s@." json_path;
-  let fresh = geomean (fun m -> m.im_native.sps_med /. m.im_basic.sps_med) ms in
-  (* bytecode gate: the register VM must not fall behind the tree walker it
-     replaces as the native substrate *)
-  let vm_speedup = geomean (fun m -> m.im_vm.sps_med /. m.im_native.sps_med) ms in
-  let vm_ok = vm_speedup >= 1.0 in
-  Fmt.pf ppf
-    "  perfcheck: geomean VM speedup %.2fx vs tree interpreter (threshold \
-     1.00x) — %s@."
-    vm_speedup
-    (if vm_ok then "ok" else "VM REGRESSION");
-  let fresh_epoch =
-    geomean (fun m -> m.im_native.sps_med /. m.im_epoch.sps_med) ms
-  in
-  let epoch_rel = (fresh_epoch -. fresh) /. fresh in
-  let epoch_ok = epoch_rel <= epoch_threshold in
-  Fmt.pf ppf
-    "  perfcheck: geomean ratio_epoch %.2f vs ratio_basic %.2f (%+.0f%%, \
-     threshold +%.0f%%) — %s@."
-    fresh_epoch fresh (100. *. epoch_rel) (100. *. epoch_threshold)
-    (if epoch_ok then "ok" else "EPOCH-MODE REGRESSION");
-  let base_ok =
-    match
-      if Sys.file_exists baseline_path then
-        scan_geomean_field (In_channel.with_open_text baseline_path In_channel.input_all)
-          "ratio_basic"
-      else None
-    with
-    | None ->
-      Fmt.pf ppf "  perfcheck: no baseline at %s — skipping comparison@.@." baseline_path;
-      true
-    | Some base ->
-      let rel = (fresh -. base) /. base in
-      let ok = rel <= threshold in
-      Fmt.pf ppf
-        "  perfcheck: geomean ratio_basic %.2f vs baseline %.2f (%+.0f%%, \
-         threshold +%.0f%%) — %s@.@."
-        fresh base (100. *. rel) (100. *. threshold)
-        (if ok then "ok" else "REGRESSION");
-      ok
-  in
-  base_ok && epoch_ok && vm_ok
+  write_bench "interp" ppf
+    ~params:[ ("iters", J.Int iters); ("seed", J.Int timing_seed) ]
+    ~rows:(List.map interp_row ms)
+    ~summary:(List.map (fun (k, _) -> (k, J.Float (gm k))) interp_ratios)
 
 (* ------------------------------------------------------------------ *)
 (* Static-analysis precision (BENCH_analysis.json)                      *)
@@ -664,12 +558,13 @@ type analysis_measure = {
   am_sharp_overhead : float;
   am_static_pairs : int;       (* sharp static race pairs *)
   am_confirmed_pairs : int;    (* confirmed by the HB detector (round-robin) *)
-  am_native_sps : float;
+  am_native_sps : float;       (* native run on the VM *)
   am_basic_coarse_sps : float; (* v_basic recording under the coarse plan *)
   am_basic_sharp_sps : float;  (* v_basic recording under the sharp plan *)
 }
 
-let measure_analysis ?(seed = 7) ~iters (bm : Workloads.benchmark) : analysis_measure =
+let measure_analysis ~iters (bm : Workloads.benchmark) : analysis_measure =
+  let seed = timing_seed in
   let p = Workloads.program bm in
   let sched () = Workloads.scheduler ~seed bm in
   let tr_c = Instrument.Transformer.transform ~precision:Analysis.Analyze.Coarse p in
@@ -694,17 +589,19 @@ let measure_analysis ?(seed = 7) ~iters (bm : Workloads.benchmark) : analysis_me
            Hashtbl.mem dyn_pairs (min r.t1.sid r.t2.sid, max r.t1.sid r.t2.sid))
          tr_s.analysis.races)
   in
-  let cp = Interp.compile p in
-  let _, native =
-    steps_per_sec ~iters (fun () -> Interp.run_compiled ~sched:(sched ()) cp)
+  (* native and recorded runs both on the VM; both timed recordings take a
+     prepared plan: the point is the cost of the instrumentation the plan
+     leaves behind, not of running the analysis *)
+  let bp = Lang.Compile.lower (Interp.compile p) in
+  let steps = (Vm.run_program ~sched:(sched ()) ~seed bp).steps in
+  let time run = (steps_per_sec ~iters ~steps (fun () -> ignore (run ()))).sps_med in
+  let native_sps = time (fun () -> Vm.run_program ~sched:(sched ()) ~seed bp) in
+  let record_basic (plan : Plan.t) =
+    let pp = Light_core.Light.prepare ~variant:Light_core.Light.v_basic ~plan p in
+    time (fun () -> Light_core.Light.record_prepared ~sched:(sched ()) ~seed pp)
   in
-  let native_sps = native.sps_med in
-  (* both timed runs take a precomputed plan: the point is the cost of the
-     instrumentation the plan leaves behind, not of running the analysis *)
-  let record_basic plan () = (record ~plan Light_core.Light.v_basic).outcome in
-  let _, basic_coarse = steps_per_sec ~iters (record_basic tr_c.plan) in
-  let _, basic_sharp = steps_per_sec ~iters (record_basic tr_s.plan) in
-  let basic_coarse_sps = basic_coarse.sps_med and basic_sharp_sps = basic_sharp.sps_med in
+  let basic_coarse_sps = record_basic tr_c.plan in
+  let basic_sharp_sps = record_basic tr_s.plan in
   {
     am_bm = bm.name;
     am_total = tr_s.total_access_sites;
@@ -723,58 +620,19 @@ let measure_analysis ?(seed = 7) ~iters (bm : Workloads.benchmark) : analysis_me
     am_basic_sharp_sps = basic_sharp_sps;
   }
 
-let geomean_f (xs : float list) : float =
-  exp (List.fold_left (fun a x -> a +. log x) 0. xs /. float_of_int (List.length xs))
-
-let analysis_json ~iters (ms : analysis_measure list) : string =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf (Printf.sprintf "{\n  \"iters\": %d,\n  \"rows\": [\n" iters);
-  List.iteri
-    (fun i m ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"workload\": %S, \"total_sites\": %d, \"coarse_instr\": %d, \
-            \"sharp_instr\": %d, \"coarse_guarded\": %d, \"sharp_guarded\": %d, \
-            \"coarse_space\": %d, \"sharp_space\": %d, \"coarse_overhead\": %.4f, \
-            \"sharp_overhead\": %.4f, \"static_pairs\": %d, \"confirmed_pairs\": %d, \
-            \"native_sps\": %.0f, \"basic_coarse_sps\": %.0f, \"basic_sharp_sps\": \
-            %.0f, \"ratio_basic_coarse\": %.2f, \"ratio_basic_sharp\": %.2f}%s\n"
-           m.am_bm m.am_total m.am_coarse_instr m.am_sharp_instr m.am_coarse_guarded
-           m.am_sharp_guarded m.am_coarse_space m.am_sharp_space m.am_coarse_overhead
-           m.am_sharp_overhead m.am_static_pairs m.am_confirmed_pairs m.am_native_sps
-           m.am_basic_coarse_sps m.am_basic_sharp_sps
-           (m.am_native_sps /. m.am_basic_coarse_sps)
-           (m.am_native_sps /. m.am_basic_sharp_sps)
-           (if i = List.length ms - 1 then "" else ",")))
-    ms;
-  let decreased =
-    List.length (List.filter (fun m -> m.am_sharp_instr < m.am_coarse_instr) ms)
-  in
-  let regressed =
-    List.length (List.filter (fun m -> m.am_sharp_instr > m.am_coarse_instr) ms)
-  in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  ],\n  \"summary\": {\"decreased\": %d, \"regressed\": %d, \
-        \"geomean_space_ratio\": %.3f, \"geomean_ratio_basic_coarse\": %.2f, \
-        \"geomean_ratio_basic_sharp\": %.2f}\n}\n"
-       decreased regressed
-       (geomean_f
-          (List.map
-             (fun m -> float_of_int m.am_sharp_space /. float_of_int m.am_coarse_space)
-             ms))
-       (geomean_f (List.map (fun m -> m.am_native_sps /. m.am_basic_coarse_sps) ms))
-       (geomean_f (List.map (fun m -> m.am_native_sps /. m.am_basic_sharp_sps) ms)));
-  Buffer.contents buf
+let ratio_coarse m = m.am_native_sps /. m.am_basic_coarse_sps
+let ratio_sharp m = m.am_native_sps /. m.am_basic_sharp_sps
+let space_ratio m = float_of_int m.am_sharp_space /. float_of_int m.am_coarse_space
 
 (* Static-analysis precision, old (name-bucket) vs new (points-to + escape +
    must-alias locks) — instrumented/guarded sites, Section-5 space units,
    modeled record overhead, race pairs with dynamic HB confirmation, and the
-   wall-clock basic-recording ratios.  Sequential for timing purity, like
-   the interp bench; every wall-clock column hides behind LIGHT_TIMINGS. *)
-let analysis_bench ?(seed = 7) ?(json_path = "BENCH_analysis.json") () ppf : unit =
+   wall-clock basic-recording ratios (VM over VM).  Sequential for timing
+   purity, like the interp bench; every wall-clock column hides behind
+   LIGHT_TIMINGS. *)
+let analysis_bench () ppf : unit =
   let iters = bench_iters () in
-  let ms = List.map (measure_analysis ~seed ~iters) Workloads.all in
+  let ms = List.map (measure_analysis ~iters) Workloads.all in
   let pct v = Printf.sprintf "%.0f%%" (100. *. v) in
   Chart.table
     ~title:
@@ -794,169 +652,111 @@ let analysis_bench ?(seed = 7) ?(json_path = "BENCH_analysis.json") () ppf : uni
            Printf.sprintf "%s>%s" (pct m.am_coarse_overhead) (pct m.am_sharp_overhead);
            string_of_int m.am_static_pairs;
            string_of_int m.am_confirmed_pairs;
-           timing_cell (Printf.sprintf "%.1f" (m.am_native_sps /. m.am_basic_coarse_sps));
-           timing_cell (Printf.sprintf "%.1f" (m.am_native_sps /. m.am_basic_sharp_sps));
+           timing_cell (Printf.sprintf "%.1f" (ratio_coarse m));
+           timing_cell (Printf.sprintf "%.1f" (ratio_sharp m));
          ])
        ms)
     ppf;
-  let decreased =
-    List.length (List.filter (fun m -> m.am_sharp_instr < m.am_coarse_instr) ms)
-  in
-  let regressed =
-    List.length (List.filter (fun m -> m.am_sharp_instr > m.am_coarse_instr) ms)
-  in
+  let count p = List.length (List.filter p ms) in
+  let decreased = count (fun m -> m.am_sharp_instr < m.am_coarse_instr) in
+  let regressed = count (fun m -> m.am_sharp_instr > m.am_coarse_instr) in
   Fmt.pf ppf
     "  instrumented sites: strictly fewer on %d/%d workloads, %d regressions@."
     decreased (List.length ms) regressed;
   Fmt.pf ppf "  geomean space ratio (sharp/coarse, v_both): %.3f@."
-    (geomean_f
-       (List.map
-          (fun m -> float_of_int m.am_sharp_space /. float_of_int m.am_coarse_space)
-          ms));
+    (geomean (List.map space_ratio ms));
   if show_timings () then
-    Fmt.pf ppf "  geomean record overhead (basic): coarse %.2fx, sharp %.2fx@."
-      (geomean_f (List.map (fun m -> m.am_native_sps /. m.am_basic_coarse_sps) ms))
-      (geomean_f (List.map (fun m -> m.am_native_sps /. m.am_basic_sharp_sps) ms));
-  Out_channel.with_open_text json_path (fun oc ->
-      Out_channel.output_string oc (analysis_json ~iters ms));
-  Fmt.pf ppf "  full measurement (with timings) written to %s@.@." json_path
+    Fmt.pf ppf "  geomean record overhead (basic, on the VM): coarse %.2fx, sharp %.2fx@."
+      (geomean (List.map ratio_coarse ms))
+      (geomean (List.map ratio_sharp ms));
+  write_bench "analysis" ppf
+    ~params:[ ("iters", J.Int iters); ("seed", J.Int timing_seed) ]
+    ~rows:
+      (List.map
+         (fun m ->
+           [
+             ("workload", J.Str m.am_bm); ("total_sites", J.Int m.am_total);
+             ("coarse_instr", J.Int m.am_coarse_instr);
+             ("sharp_instr", J.Int m.am_sharp_instr);
+             ("coarse_guarded", J.Int m.am_coarse_guarded);
+             ("sharp_guarded", J.Int m.am_sharp_guarded);
+             ("coarse_space", J.Int m.am_coarse_space);
+             ("sharp_space", J.Int m.am_sharp_space);
+             ("coarse_overhead", J.Float m.am_coarse_overhead);
+             ("sharp_overhead", J.Float m.am_sharp_overhead);
+             ("static_pairs", J.Int m.am_static_pairs);
+             ("confirmed_pairs", J.Int m.am_confirmed_pairs);
+             ("native_sps", J.Float m.am_native_sps);
+             ("basic_coarse_sps", J.Float m.am_basic_coarse_sps);
+             ("basic_sharp_sps", J.Float m.am_basic_sharp_sps);
+             ("ratio_basic_coarse", J.Float (ratio_coarse m));
+             ("ratio_basic_sharp", J.Float (ratio_sharp m));
+           ])
+         ms)
+    ~summary:
+      [
+        ("decreased", J.Int decreased);
+        ("regressed", J.Int regressed);
+        ("geomean_space_ratio", J.Float (geomean (List.map space_ratio ms)));
+        ("geomean_ratio_basic_coarse", J.Float (geomean (List.map ratio_coarse ms)));
+        ("geomean_ratio_basic_sharp", J.Float (geomean (List.map ratio_sharp ms)));
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* Sitecheck: static instrumented-site gate (BENCH_sitecheck.json)      *)
 (* ------------------------------------------------------------------ *)
 
-(* The static twin of [interp_perfcheck]: no timers, no recording — just
-   the default (sharp, refined, O2) plan baked to mode bytes per workload,
+(* The static twin of the interp gate: no timers, no recording — just the
+   default (sharp, refined, O2) plan baked to mode bytes per workload,
    counted with {!Plan.count_modes} so the gate measures exactly what the
-   recorder's fast path consults.  Counts are compared per workload
-   against the committed baseline: an analysis change that starts
-   instrumenting more sites (losing an elision argument) or guarding
-   fewer (losing O2 coverage) fails CI; improving either direction passes
-   and shows up in the uploaded BENCH_sitecheck.json artifact, from which
-   the baseline can be refreshed deliberately. *)
-
-type site_row = { sr_bm : string; sr_total : int; sr_instr : int; sr_guarded : int }
-
-let sitecheck_measure () : site_row list =
-  List.map
-    (fun (bm : Workloads.benchmark) ->
-      let p = Workloads.program bm in
-      let tr = Instrument.Transformer.transform p in
-      let modes = Plan.modes tr.plan ~max_sid:(Lang.Ast.max_sid p) in
-      let instr, guarded = Plan.count_modes modes in
-      {
-        sr_bm = bm.Workloads.name;
-        sr_total = tr.Instrument.Transformer.total_access_sites;
-        sr_instr = instr;
-        sr_guarded = guarded;
-      })
-    Workloads.all
-
-let sitecheck_json (rows : site_row list) : string =
-  let module J = Analysis.Lint.Json in
-  let row r =
-    J.Obj
-      [
-        ("name", J.Str r.sr_bm);
-        ("total", J.Int r.sr_total);
-        ("instrumented", J.Int r.sr_instr);
-        ("guarded", J.Int r.sr_guarded);
-      ]
+   recorder's fast path consults.  [check sitecheck] compares the counts
+   per workload against the committed baseline: an analysis change that
+   starts instrumenting more sites (losing an elision argument) or
+   guarding fewer (losing O2 coverage) fails CI; improving either
+   direction passes and shows up in the uploaded BENCH_sitecheck.json
+   artifact, from which the baseline can be refreshed deliberately. *)
+let sitecheck_bench () ppf : unit =
+  let rows =
+    List.map
+      (fun (bm : Workloads.benchmark) ->
+        let p = Workloads.program bm in
+        let tr = Instrument.Transformer.transform p in
+        let modes = Plan.modes tr.plan ~max_sid:(Lang.Ast.max_sid p) in
+        let instr, guarded = Plan.count_modes modes in
+        (bm.Workloads.name, tr.Instrument.Transformer.total_access_sites, instr, guarded))
+      Workloads.all
   in
-  let sum f = List.fold_left (fun a r -> a + f r) 0 rows in
-  J.to_string
-    (J.Obj
-       [
-         ("workloads", J.List (List.map row rows));
-         ( "totals",
-           J.Obj
-             [
-               ("total", J.Int (sum (fun r -> r.sr_total)));
-               ("instrumented", J.Int (sum (fun r -> r.sr_instr)));
-               ("guarded", J.Int (sum (fun r -> r.sr_guarded)));
-             ] );
-       ])
-  ^ "\n"
-
-(* baseline rows, [None] when the file is missing or unparsable *)
-let sitecheck_baseline (path : string) : (string * (int * int)) list option =
-  let module J = Analysis.Lint.Json in
-  if not (Sys.file_exists path) then None
-  else
-    match J.of_string (In_channel.with_open_text path In_channel.input_all) with
-    | exception J.Parse_error _ -> None
-    | j ->
-      Option.bind (Option.bind (J.member "workloads" j) J.to_list) (fun rows ->
-          let parse_row r =
-            match
-              ( Option.bind (J.member "name" r) J.to_str,
-                Option.bind (J.member "instrumented" r) J.to_int,
-                Option.bind (J.member "guarded" r) J.to_int )
-            with
-            | Some n, Some i, Some g -> Some (n, (i, g))
-            | _ -> None
-          in
-          let parsed = List.filter_map parse_row rows in
-          if List.length parsed = List.length rows then Some parsed else None)
-
-let sitecheck ?(baseline_path = "bench/BENCH_sitecheck.baseline.json")
-    ?(json_path = "BENCH_sitecheck.json") () ppf : bool =
-  let rows = sitecheck_measure () in
   Chart.table
     ~title:"Sitecheck: instrumented/guarded sites under the default plan"
     ~header:[ "workload"; "sites"; "instrumented"; "guarded (O2)" ]
     (List.map
-       (fun r ->
-         [
-           r.sr_bm; string_of_int r.sr_total; string_of_int r.sr_instr;
-           string_of_int r.sr_guarded;
-         ])
+       (fun (name, total, instr, guarded) ->
+         [ name; string_of_int total; string_of_int instr; string_of_int guarded ])
        rows)
     ppf;
-  Out_channel.with_open_text json_path (fun oc ->
-      Out_channel.output_string oc (sitecheck_json rows));
-  Fmt.pf ppf "  site counts written to %s@." json_path;
-  match sitecheck_baseline baseline_path with
-  | None ->
-    Fmt.pf ppf "  sitecheck: no baseline at %s — skipping comparison@.@." baseline_path;
-    true
-  | Some base ->
-    let ok = ref true in
-    let complain fmt = Fmt.pf ppf fmt in
-    List.iter
-      (fun (name, (bi, bg)) ->
-        match List.find_opt (fun r -> r.sr_bm = name) rows with
-        | None ->
-          ok := false;
-          complain "  sitecheck: workload %s in baseline but not measured@." name
-        | Some r ->
-          if r.sr_instr > bi then begin
-            ok := false;
-            complain
-              "  sitecheck: %s instruments %d sites vs %d in baseline — ELISION \
-               REGRESSION@."
-              name r.sr_instr bi
-          end;
-          if r.sr_guarded < bg then begin
-            ok := false;
-            complain
-              "  sitecheck: %s guards %d sites vs %d in baseline — O2 REGRESSION@."
-              name r.sr_guarded bg
-          end)
-      base;
-    let fresh_total = List.fold_left (fun a r -> a + r.sr_instr) 0 rows in
-    let base_total = List.fold_left (fun a (_, (bi, _)) -> a + bi) 0 base in
-    Fmt.pf ppf "  sitecheck: %d instrumented sites total vs %d in baseline — %s@.@."
-      fresh_total base_total
-      (if !ok then "ok" else "REGRESSION");
-    !ok
+  let sum f = J.Int (List.fold_left (fun a r -> a + f r) 0 rows) in
+  write_bench "sitecheck" ppf ~params:[]
+    ~rows:
+      (List.map
+         (fun (name, total, instr, guarded) ->
+           [
+             ("workload", J.Str name); ("total", J.Int total);
+             ("instrumented", J.Int instr); ("guarded", J.Int guarded);
+           ])
+         rows)
+    ~summary:
+      [
+        ("total", sum (fun (_, t, _, _) -> t));
+        ("instrumented", sum (fun (_, _, i, _) -> i));
+        ("guarded", sum (fun (_, _, _, g) -> g));
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* Figure 6: real-world bugs                                            *)
 (* ------------------------------------------------------------------ *)
 
-let fig6 ?(tries = 60) ?(clap_budget = 60_000) ?pool () ppf : unit =
-  let rows = Bugs.Harness.reproduce_all ~tries ~clap_budget ?pool () in
+let fig6 ?(tries = 60) ?pool () ppf : unit =
+  let rows = Bugs.Harness.reproduce_all ~tries ~clap_budget:60_000 ?pool () in
   Chart.table
     ~title:"Figure 6: real-world bug reproduction (Light vs Clap vs Chimera)"
     ~header:[ "bug"; "failure"; "Light"; "Clap"; "Chimera"; "trigger" ]
@@ -982,10 +782,10 @@ let fig6 ?(tries = 60) ?(clap_budget = 60_000) ?pool () ppf : unit =
 (* Table 1: replay measurement                                          *)
 (* ------------------------------------------------------------------ *)
 
-let table1 ?(scale_factor = 1) ?pool () ppf : unit =
+let table1 ?pool () ppf : unit =
   let rows =
     Engine.Batch.map ?pool Bugs.Defs.all ~f:(fun (b : Bugs.Defs.bug) ->
-        let scale = max 1 (b.table1_scale * scale_factor) in
+        let scale = max 1 b.table1_scale in
         let p = Bugs.Defs.program_of b ~scale ~background:true () in
         match Bugs.Harness.find_trigger ~tries:40 p with
         | None -> None
@@ -1028,9 +828,10 @@ let table1 ?(scale_factor = 1) ?pool () ppf : unit =
    and fresh — executed, and classified.  LIGHT_EXPLORE_FLIPS caps the
    candidates per workload (CI uses a reduced budget); verdict counts on
    stdout are deterministic, wall-clock columns hide behind LIGHT_TIMINGS,
-   and the full measurement lands in [json_path] for the CI artifact. *)
-let explore_bench ?(seed = 3) ?(json_path = "BENCH_explore.json") ?pool () ppf
-    : unit =
+   and the full measurement lands in BENCH_explore.json for the CI
+   artifact. *)
+let explore_bench ?pool () ppf : unit =
+  let seed = 3 in
   let limit =
     match Sys.getenv_opt "LIGHT_EXPLORE_FLIPS" with
     | Some s -> (try int_of_string s with _ -> 8)
@@ -1101,9 +902,27 @@ let explore_bench ?(seed = 3) ?(json_path = "BENCH_explore.json") ?pool () ppf
       resolve fresh
       (if resolve > 0.0 then fresh /. resolve else 0.0)
       (tot (fun m -> m.st_fresh_aborted));
-  Out_channel.with_open_text json_path (fun oc ->
-      Out_channel.output_string oc (Explore.stats_to_json ms));
-  Fmt.pf ppf "  full measurement (with timings) written to %s@.@." json_path
+  write_bench "explore" ppf
+    ~params:[ ("seed", J.Int seed); ("flips", J.Int limit) ]
+    ~rows:
+      (List.map
+         (fun (m : Explore.stats) ->
+           [
+             ("workload", J.Str m.st_label); ("candidates", J.Int m.st_candidates);
+             ("same", J.Int m.st_same); ("divergent", J.Int m.st_divergent);
+             ("crashed", J.Int m.st_crashed); ("stuck", J.Int m.st_stuck);
+             ("infeasible", J.Int m.st_infeasible); ("aborted", J.Int m.st_aborted);
+             ("resolve_s", J.Float m.st_resolve_s); ("fresh_s", J.Float m.st_fresh_s);
+             ("fresh_aborted", J.Int m.st_fresh_aborted);
+             ("sched_per_s", J.Float m.st_sched_per_s);
+           ])
+         ms)
+    ~summary:
+      [
+        ("resolve_total_s", J.Float resolve);
+        ("fresh_total_s", J.Float fresh);
+        ("speedup", J.Float (if resolve > 0.0 then fresh /. resolve else 0.0));
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* Epoch-based recording (BENCH_epochs.json, Experiment E15)            *)
@@ -1191,8 +1010,8 @@ type epoch_bench_row = {
       retained log grows with run length; the epoch-mode peak does not).
    Counts on stdout are deterministic; every wall-clock or memory figure
    hides behind LIGHT_TIMINGS, and the full measurement lands in
-   [json_path] for the CI artifact. *)
-let epochs_bench ?(json_path = "BENCH_epochs.json") () ppf : unit =
+   BENCH_epochs.json for the CI artifact. *)
+let epochs_bench () ppf : unit =
   let total_steps = env_int "LIGHT_EPOCH_STEPS" 12_000_000 in
   let epoch_len = env_int "LIGHT_EPOCH_LEN" 500_000 in
   let p = Lang.Check.validate_exn (Lang.Parser.parse_program epoch_synth_src) in
@@ -1278,6 +1097,12 @@ let epochs_bench ?(json_path = "BENCH_epochs.json") () ppf : unit =
   let mono_s = Unix.gettimeofday () -. t0 in
   let heap_mono = (Gc.quick_stat ()).Gc.heap_words in
   let rss_total_kb = vm_hwm_kb () in
+  let result_str (rep : Light_core.Replayer.solve_report) =
+    match rep.Light_core.Replayer.result_kind with
+    | Light_core.Replayer.Solved -> "sat"
+    | Unsatisfiable -> "unsat"
+    | SolverAborted -> "aborted"
+  in
   (* report *)
   Chart.table
     ~title:
@@ -1293,10 +1118,7 @@ let epochs_bench ?(json_path = "BENCH_epochs.json") () ppf : unit =
            string_of_int r.eb_deps;
            string_of_int r.eb_ranges;
            string_of_int r.eb_space;
-           (match rep.Light_core.Replayer.result_kind with
-           | Light_core.Replayer.Solved -> "sat"
-           | Unsatisfiable -> "unsat"
-           | SolverAborted -> "aborted");
+           result_str rep;
            timing_cell (Printf.sprintf "%.4f" rep.Light_core.Replayer.solve_time_s);
          ])
        rows solves)
@@ -1335,54 +1157,50 @@ let epochs_bench ?(json_path = "BENCH_epochs.json") () ppf : unit =
        file %d bytes@."
       rss_epoch_kb rss_total_kb !heap_max heap_mono log_bytes
   end;
-  (* JSON artifact *)
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\n  \"steps\": %d,\n  \"epoch_len\": %d,\n  \"epochs\": %d,\n\
-       \  \"record_s\": %.3f,\n  \"mono_record_s\": %.3f,\n\
-       \  \"peak_rss_epoch_kb\": %d,\n  \"peak_rss_after_mono_kb\": %d,\n\
-       \  \"heap_words_epoch_max\": %d,\n  \"heap_words_after_mono\": %d,\n\
-       \  \"log_file_bytes\": %d,\n  \"mono_space_longs\": %d,\n\
-       \  \"max_epoch_space_longs\": %d,\n  \"sum_epoch_space_longs\": %d,\n\
-       \  \"seal_ms\": [%s],\n  \"epochs_detail\": [\n"
-       summary.Light_core.Epoch.ss_steps epoch_len summary.Light_core.Epoch.ss_epochs
-       record_s mono_s rss_epoch_kb rss_total_kb !heap_max heap_mono log_bytes
-       mono.Light_core.Light.space_longs max_space sum_space
-       (String.concat ", "
-          (List.map
-             (fun s -> Printf.sprintf "%.3f" (1000. *. s))
-             summary.Light_core.Epoch.ss_seal_times)));
-  List.iteri
-    (fun i (r, (_, sh, (rep : Light_core.Replayer.solve_report))) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"epoch\": %d, \"steps\": %d, \"deps\": %d, \"ranges\": %d, \
-            \"space_longs\": %d, \"hint_shift\": %d, \"result\": %S, \
-            \"solve_s\": %.4f}%s\n"
-           r.eb_idx r.eb_window r.eb_deps r.eb_ranges r.eb_space sh
-           (match rep.Light_core.Replayer.result_kind with
-           | Light_core.Replayer.Solved -> "sat"
-           | Unsatisfiable -> "unsat"
-           | SolverAborted -> "aborted")
-           rep.Light_core.Replayer.solve_time_s
-           (if i = List.length rows - 1 then "" else ",")))
-    (List.combine rows solves);
-  Buffer.add_string buf "  ],\n  \"replay\": [\n";
-  List.iteri
-    (fun i (k, window, steps, dt, st) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"epoch\": %d, \"window\": %d, \"replay_steps\": %d, \
-            \"replay_s\": %.3f, \"status\": %S}%s\n"
-           k window steps dt st
-           (if i = List.length replays - 1 then "" else ",")))
-    replays;
-  Buffer.add_string buf "  ]\n}\n";
-  Out_channel.with_open_text json_path (fun oc ->
-      Out_channel.output_string oc (Buffer.contents buf));
+  (* JSON artifact: one row per epoch, the replayed ones with their replay *)
   Sys.remove log_path;
-  Fmt.pf ppf "  full measurement (with timings) written to %s@.@." json_path
+  write_bench "epochs" ppf
+    ~params:[ ("max_steps", J.Int total_steps); ("epoch_len", J.Int epoch_len) ]
+    ~rows:
+      (List.mapi
+         (fun i (r, (_, sh, (rep : Light_core.Replayer.solve_report))) ->
+           [
+             ("workload", J.Str "epoch-synth"); ("epoch", J.Int r.eb_idx);
+             ("steps", J.Int r.eb_window); ("deps", J.Int r.eb_deps);
+             ("ranges", J.Int r.eb_ranges); ("space_longs", J.Int r.eb_space);
+             ("hint_shift", J.Int sh); ("result", J.Str (result_str rep));
+             ("solve_s", J.Float rep.Light_core.Replayer.solve_time_s);
+           ]
+           @ List.concat_map
+               (fun (k, _, steps, dt, st) ->
+                 if k <> i then []
+                 else
+                   [
+                     ("replay_steps", J.Int steps); ("replay_s", J.Float dt);
+                     ("replay_status", J.Str st);
+                   ])
+               replays)
+         (List.combine rows solves))
+    ~summary:
+      [
+        ("steps", J.Int summary.Light_core.Epoch.ss_steps);
+        ("epochs", J.Int summary.Light_core.Epoch.ss_epochs);
+        ("record_s", J.Float record_s);
+        ("mono_record_s", J.Float mono_s);
+        ("peak_rss_epoch_kb", J.Int rss_epoch_kb);
+        ("peak_rss_after_mono_kb", J.Int rss_total_kb);
+        ("heap_words_epoch_max", J.Int !heap_max);
+        ("heap_words_after_mono", J.Int heap_mono);
+        ("log_file_bytes", J.Int log_bytes);
+        ("mono_space_longs", J.Int mono.Light_core.Light.space_longs);
+        ("max_epoch_space_longs", J.Int max_space);
+        ("sum_epoch_space_longs", J.Int sum_space);
+        ( "seal_ms",
+          J.List
+            (List.map
+               (fun t -> J.Float (1000. *. t))
+               summary.Light_core.Epoch.ss_seal_times) );
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* Running example (Sections 2.3/2.4)                                   *)
@@ -1622,62 +1440,6 @@ let service_speedup (m : service_measure) : float =
   let nps = service_rate m.sv_naive_n m.sv_naive_s in
   if nps <= 0.0 then 0.0 else sps /. nps
 
-let service_json (m : service_measure) : string =
-  let module J = Analysis.Lint.Json in
-  let sps = service_rate m.sv_sessions m.sv_service_s in
-  let q = m.sv_stats.Service.st_queue in
-  J.to_string
-    (J.Obj
-       [
-         ("schema", J.Str "light-service/v1");
-         ("sessions", J.Int m.sv_sessions);
-         ("corpus", J.Int m.sv_corpus);
-         ("naive_sessions", J.Int m.sv_naive_n);
-         ("steps_per_session", J.Int m.sv_steps_budget);
-         ("queue_capacity", J.Int m.sv_queue);
-         ("workers", J.Int m.sv_workers);
-         ("intern_shards", J.Int Lang.Intern.shard_count);
-         ("done", J.Int m.sv_done);
-         ("rejected", J.Int m.sv_rejected);
-         ("failed", J.Int m.sv_failed);
-         ("identity_serial_vs_service", J.Bool m.sv_identity_workers);
-         ("identity_naive_vs_service", J.Bool m.sv_identity_naive);
-         ("prepare_s", J.Float m.sv_prepare_s);
-         ("serial_s", J.Float m.sv_serial_s);
-         ("service_s", J.Float m.sv_service_s);
-         ("norecycle_s", J.Float m.sv_norecycle_s);
-         ("naive_s", J.Float m.sv_naive_s);
-         ("sessions_per_sec", J.Float sps);
-         ("serial_sessions_per_sec", J.Float (service_rate m.sv_sessions m.sv_serial_s));
-         ("norecycle_sessions_per_sec", J.Float (service_rate m.sv_sessions m.sv_norecycle_s));
-         ("naive_sessions_per_sec", J.Float (service_rate m.sv_naive_n m.sv_naive_s));
-         ("speedup_vs_naive", J.Float (service_speedup m));
-         ("p50_latency_ms", J.Float (1000. *. Service.percentile 50. m.sv_latencies));
-         ("p99_latency_ms", J.Float (1000. *. Service.percentile 99. m.sv_latencies));
-         ("peak_rss_kb", J.Int m.sv_rss_kb);
-         ("total_space_longs", J.Int m.sv_total_space);
-         ("total_steps", J.Int m.sv_total_steps);
-         ("recorders_created", J.Int m.sv_stats.Service.st_recorders_created);
-         ("inline_runs", J.Int m.sv_stats.Service.st_inline_runs);
-         ( "queue",
-           J.Obj
-             [
-               ("peak", J.Int q.Engine.Bqueue.bq_peak);
-               ("pushes", J.Int q.Engine.Bqueue.bq_pushes);
-               ("blocked_pushes", J.Int q.Engine.Bqueue.bq_blocked_pushes);
-               ("blocked_pops", J.Int q.Engine.Bqueue.bq_blocked_pops);
-             ] );
-         ( "intern",
-           J.Obj
-             [
-               ("shards", J.Int m.sv_intern.Lang.Intern.st_shards);
-               ("lookups", J.Int m.sv_intern.Lang.Intern.st_lookups);
-               ("inserts", J.Int m.sv_intern.Lang.Intern.st_inserts);
-               ("contended", J.Int m.sv_intern.Lang.Intern.st_contended);
-             ] );
-       ])
-  ^ "\n"
-
 let service_report (m : service_measure) ppf : unit =
   Fmt.pf ppf
     "Experiment E16: record service under load (%d sessions of <=%d steps \
@@ -1719,75 +1481,219 @@ let service_report (m : service_measure) ppf : unit =
       m.sv_intern.Lang.Intern.st_contended m.sv_intern.Lang.Intern.st_shards
   end
 
-let service_bench ?(json_path = "BENCH_service.json") () ppf : unit =
+let service_bench () ppf : unit =
   let m = service_measure () in
   service_report m ppf;
-  Out_channel.with_open_text json_path (fun oc ->
-      Out_channel.output_string oc (service_json m));
-  Fmt.pf ppf "  full measurement (with timings) written to %s@.@." json_path
+  let rate = service_rate m.sv_sessions in
+  let q = m.sv_stats.Service.st_queue in
+  write_bench "service" ppf
+    ~params:
+      [
+        ("sessions", J.Int m.sv_sessions);
+        ("corpus", J.Int m.sv_corpus);
+        ("naive_sessions", J.Int m.sv_naive_n);
+        ("steps_per_session", J.Int m.sv_steps_budget);
+        ("queue_capacity", J.Int m.sv_queue);
+        ("workers", J.Int m.sv_workers);
+        ("intern_shards", J.Int Lang.Intern.shard_count);
+      ]
+    ~rows:[]
+    ~summary:
+      [
+        ("done", J.Int m.sv_done);
+        ("rejected", J.Int m.sv_rejected);
+        ("failed", J.Int m.sv_failed);
+        ("identity_serial_vs_service", J.Bool m.sv_identity_workers);
+        ("identity_naive_vs_service", J.Bool m.sv_identity_naive);
+        ("prepare_s", J.Float m.sv_prepare_s);
+        ("serial_s", J.Float m.sv_serial_s);
+        ("service_s", J.Float m.sv_service_s);
+        ("norecycle_s", J.Float m.sv_norecycle_s);
+        ("naive_s", J.Float m.sv_naive_s);
+        ("sessions_per_sec", J.Float (rate m.sv_service_s));
+        ("serial_sessions_per_sec", J.Float (rate m.sv_serial_s));
+        ("norecycle_sessions_per_sec", J.Float (rate m.sv_norecycle_s));
+        ("naive_sessions_per_sec", J.Float (service_rate m.sv_naive_n m.sv_naive_s));
+        ("speedup_vs_naive", J.Float (service_speedup m));
+        ("p50_latency_ms", J.Float (1000. *. Service.percentile 50. m.sv_latencies));
+        ("p99_latency_ms", J.Float (1000. *. Service.percentile 99. m.sv_latencies));
+        ("peak_rss_kb", J.Int m.sv_rss_kb);
+        ("total_space_longs", J.Int m.sv_total_space);
+        ("total_steps", J.Int m.sv_total_steps);
+        ("recorders_created", J.Int m.sv_stats.Service.st_recorders_created);
+        ("inline_runs", J.Int m.sv_stats.Service.st_inline_runs);
+        ( "queue",
+          J.Obj
+            [
+              ("peak", J.Int q.Engine.Bqueue.bq_peak);
+              ("pushes", J.Int q.Engine.Bqueue.bq_pushes);
+              ("blocked_pushes", J.Int q.Engine.Bqueue.bq_blocked_pushes);
+              ("blocked_pops", J.Int q.Engine.Bqueue.bq_blocked_pops);
+            ] );
+        ( "intern",
+          J.Obj
+            [
+              ("shards", J.Int m.sv_intern.Lang.Intern.st_shards);
+              ("lookups", J.Int m.sv_intern.Lang.Intern.st_lookups);
+              ("inserts", J.Int m.sv_intern.Lang.Intern.st_inserts);
+              ("contended", J.Int m.sv_intern.Lang.Intern.st_contended);
+            ] );
+      ]
 
-(* json float field, tolerating Int-typed numbers *)
-let service_scan_float (j : Analysis.Lint.Json.t) (key : string) : float option =
-  let module J = Analysis.Lint.Json in
-  match J.member key j with
-  | Some (J.Float f) -> Some f
-  | Some (J.Int i) -> Some (float_of_int i)
-  | _ -> None
+(* ------------------------------------------------------------------ *)
+(* The perf gate: [check <bench>]                                       *)
+(* ------------------------------------------------------------------ *)
 
-(* CI gate: the service stack must stay >= [floor]x the naive loop (the
-   tentpole's acceptance claim — both rates come from the same process, so
-   the ratio is runner-noise tolerant), must not regress more than
-   [threshold] relative against the committed baseline's speedup, and the
-   byte-identity checks are hard failures at any budget. *)
-let service_perfcheck ?(baseline_path = "bench/BENCH_service.baseline.json")
-    ?(json_path = "BENCH_service.json") ?(threshold = 0.5) ?(floor = 2.0) ()
-    ppf : bool =
-  let m = service_measure () in
-  service_report m ppf;
-  Out_channel.with_open_text json_path (fun oc ->
-      Out_channel.output_string oc (service_json m));
-  Fmt.pf ppf "  full measurement (with timings) written to %s@." json_path;
-  let id_ok = m.sv_identity_workers && m.sv_identity_naive in
-  if not id_ok then
-    Fmt.pf ppf
-      "  servicecheck: PER-SESSION LOG MISMATCH (see identity lines above)@.";
-  let ok_failed = m.sv_failed = 0 && m.sv_rejected = 0 in
-  if not ok_failed then
-    Fmt.pf ppf "  servicecheck: %d failed / %d rejected sessions — FAIL@."
-      m.sv_failed m.sv_rejected;
-  let speedup = service_speedup m in
-  let floor_ok = speedup >= floor in
-  Fmt.pf ppf
-    "  servicecheck: speedup %.1fx vs naive per-session record loop \
-     (floor %.1fx) — %s@."
-    speedup floor
-    (if floor_ok then "ok" else "BELOW FLOOR");
-  let base_ok =
-    let module J = Analysis.Lint.Json in
-    match
-      if Sys.file_exists baseline_path then
-        match
-          J.of_string
-            (In_channel.with_open_text baseline_path In_channel.input_all)
-        with
-        | exception J.Parse_error _ -> None
-        | j -> service_scan_float j "speedup_vs_naive"
-      else None
-    with
-    | None ->
-      Fmt.pf ppf "  servicecheck: no baseline at %s — skipping comparison@.@."
-        baseline_path;
-      true
-    | Some base ->
-      let rel = (base -. speedup) /. base in
-      let ok = rel <= threshold in
-      Fmt.pf ppf
-        "  servicecheck: speedup %.1fx vs baseline %.1fx (%+.0f%%, threshold \
-         -%.0f%%) — %s@.@."
-        speedup base
-        (100. *. ((speedup -. base) /. base))
-        (100. *. threshold)
-        (if ok then "ok" else "REGRESSION");
-      ok
-  in
-  id_ok && ok_failed && floor_ok && base_ok
+(* A gate is a list of rules over the bench's own JSON.  A rule names a
+   key of the fresh file's "summary" or of each of its "rows", and bounds
+   it by a constant, by the same key in the committed baseline times a
+   factor, or by another key of the same fresh object times a factor.
+   Booleans read as 1/0.  The gate fails closed: an unreadable file, a
+   wrong schema, a missing or non-numeric key, an empty row set, or a
+   baseline workload absent from the fresh rows all fail it. *)
+
+type bound =
+  | Const of float
+  | Baseline of float  (** the baseline's value of the same key, times this *)
+  | Fresh of string * float  (** another key of the same fresh object, times this *)
+
+type cmp = At_most | At_least
+type rule = { per_row : bool; key : string; cmp : cmp; bound : bound }
+
+let summary key cmp bound = { per_row = false; key; cmp; bound }
+let per_row key cmp bound = { per_row = true; key; cmp; bound }
+
+(* each gated bench: the run that writes BENCH_<bench>.json, and its rules *)
+let gates : (string * ((unit -> Format.formatter -> unit) * rule list)) list =
+  [
+    ( "interp",
+      ( interp_bench,
+        [
+          (* record overhead, VM over VM: generous, shared runners are noisy *)
+          summary "ratio_basic" At_most (Baseline 1.20);
+          (* epoch mode within 10% of monolithic, measured in the same run *)
+          summary "ratio_epoch" At_most (Fresh ("ratio_basic", 1.10));
+          (* the VM keeps pace with the tree walker it replaced *)
+          summary "vm_speedup" At_least (Const 1.0);
+        ] ) );
+    ( "sitecheck",
+      ( sitecheck_bench,
+        (* no lost elision argument, no lost O2 coverage *)
+        [
+          per_row "instrumented" At_most (Baseline 1.0);
+          per_row "guarded" At_least (Baseline 1.0);
+        ] ) );
+    ( "service",
+      ( service_bench,
+        [
+          summary "identity_serial_vs_service" At_least (Const 1.0);
+          summary "identity_naive_vs_service" At_least (Const 1.0);
+          summary "failed" At_most (Const 0.0);
+          summary "rejected" At_most (Const 0.0);
+          summary "speedup_vs_naive" At_least (Const 2.0);
+          summary "speedup_vs_naive" At_least (Baseline 0.5);
+        ] ) );
+  ]
+
+let load_bench bench (path : string) : (J.t, string) result =
+  match J.of_string (In_channel.with_open_text path In_channel.input_all) with
+  | exception Sys_error e -> Error e
+  | exception J.Parse_error e -> Error (path ^ ": " ^ e)
+  | j when J.member "schema" j = Some (J.Str "light-bench/v2")
+           && J.member "bench" j = Some (J.Str bench) -> Ok j
+  | _ -> Error (path ^ ": not a light-bench/v2 file for bench " ^ bench)
+
+(** Apply [rules] to the fresh file against the baseline file; one line
+    per rule (and per failing row) on [ppf]; [true] iff every rule holds. *)
+let check ~bench ~(rules : rule list) ~fresh ~baseline ppf : bool =
+  match (load_bench bench fresh, load_bench bench baseline) with
+  | Error e, _ | _, Error e ->
+    Fmt.pf ppf "  check %s: FAIL (%s)@." bench e;
+    false
+  | Ok fresh, Ok base ->
+    let num o k =
+      match Option.bind o (J.member k) with
+      | Some (J.Int i) -> Some (float_of_int i)
+      | Some (J.Float f) -> Some f
+      | Some (J.Bool b) -> Some (if b then 1.0 else 0.0)
+      | _ -> None
+    in
+    let rows j = Option.value ~default:[] (Option.bind (J.member "rows" j) J.to_list) in
+    let workload r = Option.value ~default:"?" (Option.bind (J.member "workload" r) J.to_str) in
+    let bound_str r =
+      match r.bound with
+      | Const c -> Printf.sprintf "%g" c
+      | Baseline f -> Printf.sprintf "baseline x %g" f
+      | Fresh (k, f) -> Printf.sprintf "%s x %g" k f
+    in
+    (* one fresh object against its baseline counterpart: [Error] names
+       what is missing, [Ok (value, limit, holds)] otherwise *)
+    let eval r (f : J.t option) (b : J.t option) =
+      let limit =
+        match r.bound with
+        | Const c -> Some c
+        | Baseline x -> Option.map (fun v -> v *. x) (num b r.key)
+        | Fresh (k, x) -> Option.map (fun v -> v *. x) (num f k)
+      in
+      match (num f r.key, limit) with
+      | Some v, Some l -> Ok (v, l, if r.cmp = At_most then v <= l else v >= l)
+      | None, _ -> Error (r.key ^ " missing or not a number")
+      | _, None -> Error ("bound " ^ bound_str r ^ " missing or not a number")
+    in
+    let rule_ok r =
+      let scope = if r.per_row then "rows." else "summary." in
+      let what =
+        Printf.sprintf "%s%s %s %s" scope r.key
+          (if r.cmp = At_most then "<=" else ">=")
+          (bound_str r)
+      in
+      let outcome ok detail =
+        Fmt.pf ppf "  check %s: %s %s — %s@." bench what detail (if ok then "ok" else "FAIL");
+        ok
+      in
+      if not r.per_row then
+        match eval r (J.member "summary" fresh) (J.member "summary" base) with
+        | Error e -> outcome false e
+        | Ok (v, l, ok) -> outcome ok (Printf.sprintf "(%.4g vs %.4g)" v l)
+      else
+        (* baseline-bounded rules walk the baseline's workloads, so a
+           dropped workload fails; the others walk the fresh rows *)
+        let pairs =
+          match r.bound with
+          | Baseline _ ->
+            List.map
+              (fun b ->
+                (workload b, List.find_opt (fun f -> workload f = workload b) (rows fresh), Some b))
+              (rows base)
+          | Const _ | Fresh _ -> List.map (fun f -> (workload f, Some f, None)) (rows fresh)
+        in
+        let failed =
+          List.filter_map
+            (fun (w, f, b) ->
+              match (f, eval r f b) with
+              | None, _ -> Some (w ^ ": not measured")
+              | Some _, Error e -> Some (w ^ ": " ^ e)
+              | Some _, Ok (v, l, false) -> Some (Printf.sprintf "%s: %.4g vs %.4g" w v l)
+              | Some _, Ok (_, _, true) -> None)
+            pairs
+        in
+        List.iter (fun e -> Fmt.pf ppf "  check %s: %s%s %s@." bench scope r.key e) failed;
+        outcome
+          (pairs <> [] && failed = [])
+          (Printf.sprintf "(%d rows, %d failed)" (List.length pairs) (List.length failed))
+    in
+    let ok = List.fold_left (fun acc r -> rule_ok r && acc) true rules in
+    Fmt.pf ppf "  check %s: %s@.@." bench (if ok then "PASS" else "FAIL");
+    ok
+
+(** [check <bench>]: run the bench, which writes BENCH_<bench>.json, and
+    gate it against bench/BENCH_<bench>.baseline.json. *)
+let perfcheck bench ppf : bool =
+  match List.assoc_opt bench gates with
+  | None ->
+    Fmt.pf ppf "check: no gate for %s (have: %s)@." bench
+      (String.concat " " (List.map fst gates));
+    false
+  | Some (run, rules) ->
+    run () ppf;
+    check ~bench ~rules ~fresh:(bench_path bench) ~baseline:(baseline_path bench) ppf

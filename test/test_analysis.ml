@@ -471,10 +471,10 @@ let test_lint_atomicity_findings () =
 (* JSON schema round-trip (the [--json] surface is a pinned contract)   *)
 (* ------------------------------------------------------------------ *)
 
-let json_keys = function Lint.Json.Obj kvs -> List.map fst kvs | _ -> []
+let json_keys = function Json.Obj kvs -> List.map fst kvs | _ -> []
 
 let get k j =
-  match Lint.Json.member k j with
+  match Json.member k j with
   | Some v -> v
   | None -> Alcotest.fail (Printf.sprintf "missing key %s" k)
 
@@ -492,7 +492,7 @@ let test_json_roundtrip () =
       ~guarded:tr.guarded_sites ~total_sites:tr.total_access_sites
   in
   (* encode, re-parse: the parser accepts everything the printer emits *)
-  let r = Lint.Json.of_string (Lint.Json.to_string j) in
+  let r = Json.of_string (Json.to_string j) in
   Alcotest.(check (list string)) "top-level keys pinned"
     [ "summary"; "targets"; "races" ] (json_keys r);
   Alcotest.(check (list string)) "summary keys pinned"
@@ -501,13 +501,13 @@ let test_json_roundtrip () =
       "guarded_sites"; "sequential_sids"; "race_pairs";
     ]
     (json_keys (get "summary" r));
-  (match Lint.Json.to_list (get "targets" r) with
+  (match Json.to_list (get "targets" r) with
   | Some (t :: _) ->
     Alcotest.(check (list string)) "target keys pinned"
       [ "target"; "shared"; "guarded_by"; "covered"; "active_sids"; "sites" ]
       (json_keys t)
   | _ -> Alcotest.fail "no targets in analysis JSON");
-  (match Lint.Json.to_list (get "races" r) with
+  (match Json.to_list (get "races" r) with
   | Some (f :: _) ->
     Alcotest.(check (list string)) "finding keys pinned"
       [
@@ -520,17 +520,71 @@ let test_json_roundtrip () =
   let summary = get "summary" r in
   Alcotest.(check (option int)) "instrumented count"
     (Some tr.instrumented_sites)
-    (Lint.Json.to_int (get "instrumented_sites" summary));
+    (Json.to_int (get "instrumented_sites" summary));
   Alcotest.(check (option int)) "race count"
     (Some (List.length a.races))
-    (Lint.Json.to_int (get "race_pairs" summary));
+    (Json.to_int (get "race_pairs" summary));
   (* the lint report shares the same finding encoder *)
-  let rep = Lint.Json.of_string (Lint.Json.to_string (Lint.report_json a)) in
+  let rep = Json.of_string (Json.to_string (Lint.report_json a)) in
   Alcotest.(check (list string)) "report keys pinned" [ "races"; "summary" ]
     (json_keys rep);
   Alcotest.(check (list string)) "report summary keys pinned"
     [ "total"; "race_pairs"; "atomicity_suspects"; "high"; "medium"; "low" ]
     (json_keys (get "summary" rep))
+
+(* Each of these once escaped or lost data: a bad \u escape raised
+   [Failure], floats printed with four decimals, and nan printed as a
+   token the parser rejects. *)
+let test_json_edge_cases () =
+  (match Json.of_string {|{"a": "\uzzzz"}|} with
+  | _ -> Alcotest.fail "a bad \\u escape parsed"
+  | exception Json.Parse_error _ -> ());
+  Alcotest.(check bool) "\\u0041 decodes" true (Json.of_string {|"\u0041"|} = Json.Str "A");
+  let show j = Json.to_string j in
+  Alcotest.(check string) "shortest float" "0.1234567" (show (Json.Float 0.1234567));
+  Alcotest.(check string) "integral float stays a float" "3.0" (show (Json.Float 3.0));
+  Alcotest.(check string) "non-finite floats print as null" "[null, null, null]"
+    (show (Json.List [ Json.Float Float.nan; Json.Float infinity; Json.Float neg_infinity ]))
+
+(* the printer and the parser are inverse on every value without a
+   non-finite float: nesting, control bytes (printed as \u escapes),
+   quotes, high bytes, integral and extreme floats *)
+let json_gen : Json.t QCheck.Gen.t =
+  QCheck.Gen.(
+    let str = string_size ~gen:char (int_range 0 8) in
+    let finite =
+      oneof
+        [
+          map (fun f -> if Float.is_finite f then f else 0.25) float;
+          oneofl [ 0.0; -0.0; 3.0; 0.1; 0.1234567; 1e21; 5e-324; max_float ];
+        ]
+    in
+    sized
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [
+                 return Json.Null;
+                 map (fun b -> Json.Bool b) bool;
+                 map (fun i -> Json.Int i) int;
+                 map (fun f -> Json.Float f) finite;
+                 map (fun s -> Json.Str s) str;
+               ]
+           in
+           if n <= 1 then leaf
+           else
+             let sub g = list_size (int_range 0 4) g in
+             frequency
+               [
+                 (2, leaf);
+                 (1, map (fun l -> Json.List l) (sub (self (n / 4))));
+                 (1, map (fun l -> Json.Obj l) (sub (pair str (self (n / 4)))));
+               ]))
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"json of_string (to_string j) = j"
+    (QCheck.make ~print:Json.to_string json_gen)
+    (fun j -> Json.of_string (Json.to_string j) = j)
 
 let () =
   Alcotest.run "analysis"
@@ -556,6 +610,8 @@ let () =
           Alcotest.test_case "race findings" `Quick test_lint_race_findings;
           Alcotest.test_case "atomicity findings" `Quick test_lint_atomicity_findings;
           Alcotest.test_case "json schema round-trip" `Quick test_json_roundtrip;
+          Alcotest.test_case "json edge cases" `Quick test_json_edge_cases;
+          QCheck_alcotest.to_alcotest ~long:false prop_json_roundtrip;
         ] );
       ( "sharing",
         [
