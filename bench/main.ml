@@ -14,8 +14,8 @@
     schema, bench, params, per-workload rows, summary):
     - solver: constraint pipeline per workload and variant (pairs before
       and clauses after pruning, search statistics, gen/solve times);
-    - interp: interpreter throughput (reference, tree walker, VM; native
-      and under each recording variant and epoch mode), medians over
+    - interp: interpreter throughput (tree walker and VM native, the VM
+      under each recording variant and epoch mode), medians over
       LIGHT_BENCH_ITERS timed iterations with min/max spread; the
       recording ratios divide native VM steps/sec by recorded steps/sec;
     - analysis: coarse vs sharp static analysis (sites, space, overhead
@@ -83,8 +83,7 @@ let bechamel_tests () =
     Test.make ~name (Staged.stage (fun () ->
         let bm = workload bm_name in
         let p = Workloads.program bm in
-        ignore
-          (Runtime.Interp.run ~sched:(Workloads.scheduler bm) p)))
+        ignore (Runtime.Vm.run ~sched:(Workloads.scheduler bm) p)))
   in
   let record_test name bm_name variant =
     Test.make ~name (Staged.stage (fun () ->
@@ -173,7 +172,7 @@ let all_experiments =
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Light_core.Clock.now_s () in
   (match args with
   | [] -> List.iter (fun (_, f) -> f ()) all_experiments
   | [ "check"; bench ] -> if not (Report.Experiments.perfcheck bench ppf) then exit 1
@@ -193,5 +192,5 @@ let () =
       names);
   (* wall-clock on stderr: stdout stays byte-identical across runs/pools *)
   Format.eprintf "total bench time: %.1fs (jobs=%d)@."
-    (Unix.gettimeofday () -. t0)
+    (Light_core.Clock.now_s () -. t0)
     (Engine.Pool.size pool)

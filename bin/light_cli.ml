@@ -87,7 +87,7 @@ let run_cmd =
     let p = or_die (read_program file) in
     let plan = (Instrument.Transformer.transform p).plan in
     let o =
-      Runtime.Interp.run ~plan ~collect_trace:trace ~sched:(sched_of ~seed ~stickiness) p
+      Runtime.Vm.run ~plan ~collect_trace:trace ~sched:(sched_of ~seed ~stickiness) p
     in
     print_outcome o;
     if trace then
@@ -596,13 +596,13 @@ let hunt_cmd =
     Term.(const run $ file_arg $ seed_arg $ stick_arg $ limit $ depth $ out $ jobs_arg)
 
 let serve_cmd =
-  let run target sessions seed stickiness variant engine steps queue jobs
-      no_recycle reject =
+  let run target sessions seed stickiness variant steps queue jobs no_recycle
+      reject =
     let p = resolve_target target in
     let pp = Light_core.Light.prepare ~variant p in
     let sess =
       Array.init sessions (fun i ->
-          Service.session ~label:(Printf.sprintf "%s#%d" target i) ~engine
+          Service.session ~label:(Printf.sprintf "%s#%d" target i)
             ~seed:(seed + i) ~max_steps:steps
             ~sched:(fun () -> sched_of ~seed:(seed + i) ~stickiness)
             pp)
@@ -658,12 +658,6 @@ let serve_cmd =
   let queue =
     Arg.(value & opt int 64 & info [ "queue" ] ~doc:"Submission queue capacity")
   in
-  let engine_arg =
-    Arg.(value
-         & opt (enum [ ("tree", Runtime.Vm.Tree); ("vm", Runtime.Vm.Bytecode) ])
-             Runtime.Vm.Bytecode
-         & info [ "engine" ] ~doc:"Execution engine: tree | vm")
-  in
   let no_recycle =
     Arg.(value & flag
          & info [ "no-recycle" ] ~doc:"Fresh recorder per session (no arena reuse)")
@@ -681,8 +675,7 @@ let serve_cmd =
           service (bounded queue, recycled recorder arenas); per-session \
           logs are byte-identical for any worker count")
     Term.(const run $ target_arg $ sessions $ seed_arg $ stick_arg
-          $ variant_arg $ engine_arg $ steps $ queue $ jobs_arg $ no_recycle
-          $ reject)
+          $ variant_arg $ steps $ queue $ jobs_arg $ no_recycle $ reject)
 
 let reproduce_cmd =
   let run file repro_file =

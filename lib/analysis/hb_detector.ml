@@ -145,7 +145,7 @@ let detect ?(max_steps = 5_000_000) ?seed ~(sched : Sched.t) (p : Lang.Ast.progr
     Interp.outcome * t =
   let d = create () in
   let outcome =
-    Interp.run ~hooks:(hooks d) ~plan:Plan.all_shared ~max_steps ?seed ~sched p
+    Vm.run ~hooks:(hooks d) ~plan:Plan.all_shared ~max_steps ?seed ~sched p
   in
   (outcome, d)
 

@@ -129,7 +129,7 @@ let preemptive (switches : (int * int) list) : Sched.t =
 
 (* Run a candidate schedule; [None] when some thread's branch stream
    deviates from the recorded path (prune). *)
-let run_candidate (p : Ast.program) (l : log) (switches : (int * int) list)
+let run_candidate (bp : Bytecode.program) (l : log) (switches : (int * int) list)
     ~(max_steps : int) : Interp.outcome option =
   let bpos : (int, int ref) Hashtbl.t = Hashtbl.create 16 in
   let branch_log = Hashtbl.create 16 in
@@ -157,7 +157,7 @@ let run_candidate (p : Ast.program) (l : log) (switches : (int * int) list)
       syscall_override = Some (fun ~tid ~idx ~name:_ -> Hashtbl.find_opt sys (tid, idx));
     }
   in
-  match Interp.run ~hooks ~max_steps ~sched:(preemptive switches) p with
+  match Vm.run_program ~hooks ~max_steps ~sched:(preemptive switches) bp with
   | outcome -> Some outcome
   | exception Deviation -> None
 
@@ -172,11 +172,12 @@ let synthesize ?(budget = 30_000) (p : Ast.program) (l : log) : synth_result =
     if l.crashes = [] then NoFailureRecorded
     else begin
       let target = List.sort compare (List.map crash_key l.crashes) in
+      let bp = Vm.compile p in
       let tried = ref 0 in
       let tids = List.sort_uniq compare (1 :: l.threads) in
       (* measure the default run to bound step positions *)
       let horizon =
-        match run_candidate p l [] ~max_steps:100_000 with
+        match run_candidate bp l [] ~max_steps:100_000 with
         | Some o -> min 1_200 (o.steps + 50)
         | None -> 600
       in
@@ -188,7 +189,7 @@ let synthesize ?(budget = 30_000) (p : Ast.program) (l : log) : synth_result =
       let try_sched switches =
         if !tried < budget then begin
           incr tried;
-          match run_candidate p l switches ~max_steps:(4 * horizon) with
+          match run_candidate bp l switches ~max_steps:(4 * horizon) with
           | Some o when matches o -> raise (Found switches)
           | _ -> ()
         end

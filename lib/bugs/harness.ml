@@ -38,10 +38,11 @@ let candidates ~(tries : int) : (string * (unit -> Sched.t)) list =
 (** Search for a schedule under which the program crashes. *)
 let find_trigger ?(tries = 60) ?(plan = Plan.all_shared) (p : Lang.Ast.program) :
     trigger option =
+  let bp = Vm.compile p in
   let rec go = function
     | [] -> None
     | (descr, mk) :: rest ->
-      let outcome = Interp.run ~plan ~sched:(mk ()) ~max_steps:400_000 p in
+      let outcome = Vm.run_program ~plan ~sched:(mk ()) ~max_steps:400_000 bp in
       if outcome.crashes <> [] then Some { make_sched = mk; descr; outcome }
       else go rest
   in
@@ -51,10 +52,11 @@ let find_trigger ?(tries = 60) ?(plan = Plan.all_shared) (p : Lang.Ast.program) 
     no crash — the "passing CI run" a flaky-test hunt starts from. *)
 let find_passing ?(tries = 60) ?(plan = Plan.all_shared) (p : Lang.Ast.program) :
     trigger option =
+  let bp = Vm.compile p in
   let rec go = function
     | [] -> None
     | (descr, mk) :: rest ->
-      let outcome = Interp.run ~plan ~sched:(mk ()) ~max_steps:400_000 p in
+      let outcome = Vm.run_program ~plan ~sched:(mk ()) ~max_steps:400_000 bp in
       if outcome.crashes = [] && outcome.status = Interp.AllFinished then
         Some { make_sched = mk; descr; outcome }
       else go rest
@@ -98,7 +100,7 @@ let try_clap ?(budget = 30_000) (b : Defs.bug) (tr : trigger) : attempt =
   let plan = (Instrument.Transformer.transform p).Instrument.Transformer.plan in
   let rec_ = Baselines.Clap.create () in
   let outcome =
-    Interp.run ~hooks:(Baselines.Clap.hooks rec_) ~plan ~sched:(tr.make_sched ()) p
+    Vm.run ~hooks:(Baselines.Clap.hooks rec_) ~plan ~sched:(tr.make_sched ()) p
   in
   let log = Baselines.Clap.finalize rec_ ~outcome in
   ignore plan;
@@ -138,15 +140,16 @@ let try_chimera ?(tries = 60) (b : Defs.bug) (_tr : trigger) : attempt =
           (List.length pi.groups);
     }
   | Some ptr ->
+    let bp = Vm.compile pi.patched in
     let rec_ = Baselines.Chimera.create_recorder () in
     let orig =
-      Interp.run ~hooks:(Baselines.Chimera.recorder_hooks rec_) ~plan
-        ~sched:(ptr.make_sched ()) pi.patched
+      Vm.run_program ~hooks:(Baselines.Chimera.recorder_hooks rec_) ~plan
+        ~sched:(ptr.make_sched ()) bp
     in
     let log = Baselines.Chimera.finalize_recorder rec_ ~outcome:orig in
     let rep =
-      Interp.run ~hooks:(Baselines.Chimera.replay_hooks log) ~plan
-        ~sched:(Sched.round_robin ()) pi.patched
+      Vm.run_program ~hooks:(Baselines.Chimera.replay_hooks log) ~plan
+        ~sched:(Sched.round_robin ()) bp
     in
     let ok = crashes_match orig rep in
     {

@@ -26,9 +26,10 @@
     body.  v2/v3 readers and writers are untouched ({!Log}); the
     monolithic path remains the differential oracle.
 
-    Every entry point takes [?engine], default [Vm.Bytecode] (the register
-    VM); [Vm.Tree] records byte-identical v4 files, and a checkpoint taken
-    on one engine restores on the other. *)
+    Recording and replay run on the register VM ({!Vm}).  Checkpoints keep
+    the tree walker's shape ({!Interp.snapshot}), so the differential tests
+    restore them in {!Interp} too, and hold the tree walker's v4 bytes
+    identical to the VM's. *)
 
 open Runtime
 
@@ -60,33 +61,27 @@ type recording = {
   er_seal_times : float list;  (** per-epoch seal latency, seconds *)
 }
 
-(** Record [pp] under [sched], checkpointing and sealing every [epoch_len]
-    interpreter steps.  The final epoch is sealed by whatever terminates
-    the run (normal completion, deadlock, or [max_steps]); a run ending
-    exactly on a boundary still seals the (then empty) trailing window. *)
 (* The recording loop, parameterized over what happens to each sealed
    epoch: [record_epochs] accumulates them (and reassembles the whole-run
    observables), [record_epochs_stream] serializes and drops them, so its
    live memory is bounded by one window regardless of run length. *)
-let run_epoch_loop ~engine ~sched ~max_steps ~seed ~weights ~epoch_len
+let run_epoch_loop ~sched ~max_steps ~seed ~weights ~epoch_len
     (pp : Light.prepared) ~(on_epoch : epoch -> unit) =
   if epoch_len <= 0 then invalid_arg "record_epochs: epoch_len must be positive";
   let recorder =
     Recorder.create ~variant:(Light.prepared_variant pp) ~weights
       (Light.prepared_modes pp)
   in
-  let ses =
-    Vm.start_session ~hooks:(Recorder.hooks recorder)
-      ~plan:(Light.prepared_plan pp) ~seed engine
-      ~compiled:(Light.prepared_compiled pp)
-      ~bytecode:(Light.prepared_bytecode pp)
+  let st =
+    Vm.init_state ~hooks:(Recorder.hooks recorder)
+      ~plan:(Light.prepared_plan pp) ~seed (Light.prepared_bytecode pp)
   in
   let seal_times = ref [] in
   let out_counts : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let idx = ref 0 in
   let final = ref None in
   while !final = None do
-    let sn = ses.Vm.s_snapshot () in
+    let sn = Vm.snapshot st in
     let sched_tok = sched.Sched.save () in
     let out_base =
       List.map
@@ -94,11 +89,11 @@ let run_epoch_loop ~engine ~sched ~max_steps ~seed ~weights ~epoch_len
           (t.sn_tid, Option.value ~default:0 (Hashtbl.find_opt out_counts t.sn_tid)))
         sn.snap_threads
     in
-    let stop_at = ses.Vm.s_steps () + epoch_len in
-    let status = ses.Vm.s_run ~max_steps ~stop_at ~sched () in
+    let stop_at = Vm.state_steps st + epoch_len in
+    let status = Vm.run_state ~max_steps ~stop_at ~sched st in
     let t0 = Clock.now_s () in
-    let counters = ses.Vm.s_counters () in
-    let obs = ses.Vm.s_drain () in
+    let counters = Vm.state_counters st in
+    let obs = Vm.drain_observables st in
     let log = Recorder.seal recorder ~syscalls:obs.obs_syscalls ~counters in
     seal_times := (Clock.now_s () -. t0) :: !seal_times;
     List.iter
@@ -110,7 +105,7 @@ let run_epoch_loop ~engine ~sched ~max_steps ~seed ~weights ~epoch_len
       {
         ep_idx = !idx;
         ep_start_steps = sn.Interp.snap_steps;
-        ep_steps = ses.Vm.s_steps ();
+        ep_steps = Vm.state_steps st;
         ep_clock = Recorder.accesses recorder;
         ep_sched = sched_tok;
         ep_snapshot = sn;
@@ -121,42 +116,47 @@ let run_epoch_loop ~engine ~sched ~max_steps ~seed ~weights ~epoch_len
     incr idx;
     final := status
   done;
-  (Option.get !final, ses, recorder, List.rev !seal_times)
+  (Option.get !final, st, recorder, List.rev !seal_times)
 
-let record_epochs ?(engine = Vm.Bytecode) ?(sched = Sched.random ~seed:1)
-    ?(max_steps = 5_000_000) ?(seed = 0)
-    ?(weights = Metrics.Cost.default_weights) ~(epoch_len : int)
-    (pp : Light.prepared) : recording =
-  let epochs = ref [] in
-  let status, ses, recorder, seal_times =
-    run_epoch_loop ~engine ~sched ~max_steps ~seed ~weights ~epoch_len pp
-      ~on_epoch:(fun e -> epochs := e :: !epochs)
-  in
-  let eps = List.rev !epochs in
-  (* reassemble the whole-run observables from the per-epoch windows (the
-     state's own buffers were drained at every boundary) *)
-  let base = ses.Vm.s_outcome status in
+(** The whole-run outcome of an epoch recording: [final], the outcome of
+    the run's final state, whose observable buffers were drained at every
+    boundary, with its reads, outputs and syscalls reassembled from the
+    per-epoch windows. *)
+let reassemble (final : Interp.outcome) (eps : epoch list) : Interp.outcome =
   let gather proj tid =
     List.concat_map
       (fun (e : epoch) ->
         match List.assoc_opt tid (proj e.ep_obs) with Some l -> l | None -> [])
       eps
   in
-  let tids = List.map fst base.Interp.counters in
-  let outcome =
-    {
-      base with
-      Interp.reads = List.map (fun tid -> (tid, gather (fun o -> o.Interp.obs_reads) tid)) tids;
-      outputs = List.map (fun tid -> (tid, gather (fun o -> o.Interp.obs_outputs) tid)) tids;
-      syscalls = List.concat_map (fun (e : epoch) -> e.ep_obs.Interp.obs_syscalls) eps;
-    }
+  let tids = List.map fst final.Interp.counters in
+  {
+    final with
+    Interp.reads = List.map (fun tid -> (tid, gather (fun o -> o.Interp.obs_reads) tid)) tids;
+    outputs = List.map (fun tid -> (tid, gather (fun o -> o.Interp.obs_outputs) tid)) tids;
+    syscalls = List.concat_map (fun (e : epoch) -> e.ep_obs.Interp.obs_syscalls) eps;
+  }
+
+(** Record [pp] under [sched], checkpointing and sealing every [epoch_len]
+    interpreter steps.  The final epoch is sealed by whatever terminates
+    the run (normal completion, deadlock, or [max_steps]); a run ending
+    exactly on a boundary still seals the (then empty) trailing window. *)
+let record_epochs ?(sched = Sched.random ~seed:1)
+    ?(max_steps = 5_000_000) ?(seed = 0)
+    ?(weights = Metrics.Cost.default_weights) ~(epoch_len : int)
+    (pp : Light.prepared) : recording =
+  let epochs = ref [] in
+  let status, st, recorder, seal_times =
+    run_epoch_loop ~sched ~max_steps ~seed ~weights ~epoch_len pp
+      ~on_epoch:(fun e -> epochs := e :: !epochs)
   in
+  let eps = List.rev !epochs in
   {
     er_prepared = pp;
     er_epoch_len = epoch_len;
     er_seed = seed;
     er_epochs = eps;
-    er_outcome = outcome;
+    er_outcome = reassemble (Vm.outcome_of_state st status) eps;
     er_site_hits = Recorder.site_hits recorder;
     er_seal_times = seal_times;
   }
@@ -218,48 +218,6 @@ let fenced_hooks (hooks : Interp.hooks) (watermark : (int * int) list) :
       | Some g -> Some (fun pre -> fence pre && g pre)
       | None -> Some fence);
   }
-
-(** Replay epoch [k] of [r] standalone: solve its sealed log, restore its
-    checkpoint, and run fenced at its counter watermark.  Work is
-    proportional to the epoch, never the run. *)
-let replay_epoch ?solver_budget ?(max_steps = 10_000_000) ?(engine = Vm.Bytecode)
-    (r : recording) (k : int) : (epoch_replay, string) result =
-  match List.nth_opt r.er_epochs k with
-  | None -> Error (Printf.sprintf "no epoch %d (recording has %d)" k (List.length r.er_epochs))
-  | Some e -> (
-    let rep = Replayer.solve ?budget:solver_budget e.ep_log in
-    match rep.Replayer.schedule with
-    | None ->
-      Error
-        (match rep.Replayer.result_kind with
-        | Replayer.SolverAborted -> "solver budget exhausted"
-        | _ -> "epoch constraint system unsatisfiable")
-    | Some sch ->
-      let plan = Light.prepared_plan r.er_prepared in
-      let d = Replayer.driver sch ~plan in
-      let hooks = fenced_hooks d.Replayer.hooks e.ep_log.Log.counters in
-      let ses =
-        Vm.restore_session ~hooks ~plan engine
-          ~compiled:(Light.prepared_compiled r.er_prepared)
-          ~bytecode:(Light.prepared_bytecode r.er_prepared)
-          e.ep_snapshot
-      in
-      let status =
-        match
-          ses.Vm.s_run ~max_steps:(e.ep_start_steps + max_steps)
-            ~sched:(Sched.round_robin ()) ()
-        with
-        | Some s -> s
-        | None -> assert false
-      in
-      let obs = ses.Vm.s_drain () in
-      Ok
-        {
-          rr_status = status;
-          rr_steps = ses.Vm.s_steps () - e.ep_start_steps;
-          rr_obs = obs;
-          rr_report = rep;
-        })
 
 (* ------------------------------------------------------------------ *)
 (* Window slicing (differential oracles)                               *)
@@ -412,6 +370,48 @@ let file_of_recording (r : recording) : file =
     f_epoch_len = r.er_epoch_len;
     f_chunks = List.map chunk_of_epoch r.er_epochs;
   }
+
+(** Replay one epoch from its chunk: solve its sealed log, restore its
+    checkpoint, and run fenced at its counter watermark.  Work is
+    proportional to the epoch, never the run.  The caller supplies the
+    (re-)prepared program (v4 stores no program text, like v2/v3). *)
+let replay_chunk ?solver_budget ?(max_steps = 10_000_000) (pp : Light.prepared)
+    (ck : chunk) : (epoch_replay, string) result =
+  let rep = Replayer.solve ?budget:solver_budget ck.ck_log in
+  match rep.Replayer.schedule with
+  | None ->
+    Error
+      (match rep.Replayer.result_kind with
+      | Replayer.SolverAborted -> "solver budget exhausted"
+      | _ -> "epoch constraint system unsatisfiable")
+  | Some sch ->
+    let plan = Light.prepared_plan pp in
+    let d = Replayer.driver sch ~plan in
+    let hooks = fenced_hooks d.Replayer.hooks ck.ck_log.Log.counters in
+    let st = Vm.restore_state ~hooks ~plan (Light.prepared_bytecode pp) ck.ck_snapshot in
+    let status =
+      match
+        Vm.run_state ~max_steps:(ck.ck_start_steps + max_steps)
+          ~sched:(Sched.round_robin ()) st
+      with
+      | Some s -> s
+      | None -> assert false
+    in
+    let obs = Vm.drain_observables st in
+    Ok
+      {
+        rr_status = status;
+        rr_steps = Vm.state_steps st - ck.ck_start_steps;
+        rr_obs = obs;
+        rr_report = rep;
+      }
+
+(** Replay epoch [k] of [r] standalone ({!replay_chunk} on its chunk). *)
+let replay_epoch ?solver_budget ?max_steps (r : recording) (k : int) :
+    (epoch_replay, string) result =
+  match List.nth_opt r.er_epochs k with
+  | None -> Error (Printf.sprintf "no epoch %d (recording has %d)" k (List.length r.er_epochs))
+  | Some e -> replay_chunk ?solver_budget ?max_steps r.er_prepared (chunk_of_epoch e)
 
 let add_status (buf : Buffer.t) (s : Interp.tstatus) : unit =
   let open Interp in
@@ -659,20 +659,20 @@ type stream_summary = {
     memory is bounded by one window regardless of run length.  Pair [emit]
     with {!writer} + {!write_chunk} over an output channel to stream the
     log to disk as it is recorded. *)
-let record_epochs_stream ?(engine = Vm.Bytecode) ?(sched = Sched.random ~seed:1)
+let record_epochs_stream ?(sched = Sched.random ~seed:1)
     ?(max_steps = 5_000_000) ?(seed = 0)
     ?(weights = Metrics.Cost.default_weights) ~(epoch_len : int)
     ~(emit : chunk -> unit) (pp : Light.prepared) : stream_summary =
   let n = ref 0 in
-  let status, ses, recorder, seal_times =
-    run_epoch_loop ~engine ~sched ~max_steps ~seed ~weights ~epoch_len pp
+  let status, st, recorder, seal_times =
+    run_epoch_loop ~sched ~max_steps ~seed ~weights ~epoch_len pp
       ~on_epoch:(fun e ->
         incr n;
         emit (chunk_of_epoch e))
   in
   {
     ss_status = status;
-    ss_steps = ses.Vm.s_steps ();
+    ss_steps = Vm.state_steps st;
     ss_clock = Recorder.accesses recorder;
     ss_epochs = !n;
     ss_seal_times = seal_times;
@@ -893,40 +893,3 @@ let of_string_v4 (s : string) : file =
     rest;
   close_epoch ();
   { f_o1 = !o1; f_o2 = !o2; f_epoch_len = !epoch_len; f_chunks = List.rev !chunks }
-
-(** Replay epoch [k] straight out of a parsed v4 file: the caller supplies
-    the (re-)prepared program (v4 stores no program text, like v2/v3). *)
-let replay_chunk ?solver_budget ?(max_steps = 10_000_000) ?(engine = Vm.Bytecode)
-    (pp : Light.prepared) (ck : chunk) : (epoch_replay, string) result =
-  let rep = Replayer.solve ?budget:solver_budget ck.ck_log in
-  match rep.Replayer.schedule with
-  | None ->
-    Error
-      (match rep.Replayer.result_kind with
-      | Replayer.SolverAborted -> "solver budget exhausted"
-      | _ -> "epoch constraint system unsatisfiable")
-  | Some sch ->
-    let plan = Light.prepared_plan pp in
-    let d = Replayer.driver sch ~plan in
-    let hooks = fenced_hooks d.Replayer.hooks ck.ck_log.Log.counters in
-    let ses =
-      Vm.restore_session ~hooks ~plan engine
-        ~compiled:(Light.prepared_compiled pp)
-        ~bytecode:(Light.prepared_bytecode pp) ck.ck_snapshot
-    in
-    let status =
-      match
-        ses.Vm.s_run ~max_steps:(ck.ck_start_steps + max_steps)
-          ~sched:(Sched.round_robin ()) ()
-      with
-      | Some s -> s
-      | None -> assert false
-    in
-    let obs = ses.Vm.s_drain () in
-    Ok
-      {
-        rr_status = status;
-        rr_steps = ses.Vm.s_steps () - ck.ck_start_steps;
-        rr_obs = obs;
-        rr_report = rep;
-      }

@@ -94,7 +94,7 @@ let prepare ?(variant = Recorder.v_both) ?plan (program : Lang.Ast.program) :
     of one session never bleeds into (or gets clobbered by) the next
     session on the same recorder.  When [recorder] is passed, [weights] is
     ignored: the recycled meter keeps the weights it was created with. *)
-let record_prepared ?(engine = Vm.Bytecode) ?(sched = Sched.random ~seed:1)
+let record_prepared ?(sched = Sched.random ~seed:1)
     ?(max_steps = 5_000_000) ?(seed = 0)
     ?(weights = Metrics.Cost.default_weights) ?recorder (pp : prepared) :
     recording =
@@ -106,13 +106,8 @@ let record_prepared ?(engine = Vm.Bytecode) ?(sched = Sched.random ~seed:1)
     | None -> (Recorder.create ~variant:pp.pp_variant ~weights pp.pp_modes, false)
   in
   let outcome =
-    match engine with
-    | Vm.Tree ->
-      Interp.run_compiled ~hooks:(Recorder.hooks recorder) ~plan:pp.pp_plan
-        ~max_steps ~seed ~sched pp.pp_compiled
-    | Vm.Bytecode ->
-      Vm.run_program ~hooks:(Recorder.hooks recorder) ~plan:pp.pp_plan
-        ~max_steps ~seed ~sched pp.pp_bytecode
+    Vm.run_program ~hooks:(Recorder.hooks recorder) ~plan:pp.pp_plan ~max_steps
+      ~seed ~sched pp.pp_bytecode
   in
   let log = Recorder.finalize recorder ~outcome in
   {
@@ -133,9 +128,9 @@ let record_prepared ?(engine = Vm.Bytecode) ?(sched = Sched.random ~seed:1)
   }
 
 (** Run the transformer and execute the program under the Light recorder. *)
-let record ?variant ?engine ?sched ?max_steps ?seed ?weights ?plan
+let record ?variant ?sched ?max_steps ?seed ?weights ?plan
     (program : Lang.Ast.program) : recording =
-  record_prepared ?engine ?sched ?max_steps ?seed ?weights
+  record_prepared ?sched ?max_steps ?seed ?weights
     (prepare ?variant ?plan program)
 
 (* Accessors for the epoch engine (and other lib/core clients of the
@@ -155,7 +150,7 @@ type replay_result = {
 }
 
 (** Compute a replay schedule offline and execute the replay run. *)
-let replay ?max_steps ?solver_budget ?engine (r : recording) :
+let replay ?max_steps ?solver_budget (r : recording) :
     (replay_result, string) result =
   let report = Replayer.solve ?budget:solver_budget r.log in
   match report.schedule with
@@ -169,7 +164,7 @@ let replay ?max_steps ?solver_budget ?engine (r : recording) :
          s.decisions s.backtracks s.theory_conflicts report.solve_time_s)
   | Some sch ->
     let replay_outcome =
-      Replayer.replay ?max_steps ?engine r.program ~plan:r.plan sch
+      Replayer.replay ?max_steps r.program ~plan:r.plan sch
     in
     Ok
       {
@@ -180,9 +175,9 @@ let replay ?max_steps ?solver_budget ?engine (r : recording) :
 
 (** Record under [sched], replay, and report whether the Theorem-1
     observables (per-thread read values, outputs, crashes) were reproduced. *)
-let record_and_replay ?variant ?engine ?sched ?max_steps ?seed ?solver_budget
+let record_and_replay ?variant ?sched ?max_steps ?seed ?solver_budget
     (program : Lang.Ast.program) : (recording * replay_result, string) result =
-  let r = record ?variant ?engine ?sched ?max_steps ?seed program in
-  match replay ?max_steps ?solver_budget ?engine r with
+  let r = record ?variant ?sched ?max_steps ?seed program in
+  match replay ?max_steps ?solver_budget r with
   | Ok rr -> Ok (r, rr)
   | Error e -> Error e

@@ -59,7 +59,6 @@ val prepare : ?variant:variant -> ?plan:Plan.t -> Lang.Ast.program -> prepared
     you will record with). *)
 
 val record_prepared :
-  ?engine:Vm.engine ->
   ?sched:Sched.t ->
   ?max_steps:int ->
   ?seed:int ->
@@ -67,12 +66,9 @@ val record_prepared :
   ?recorder:Recorder.t ->
   prepared ->
   recording
-(** Execute one recording run over a prepared program; only the
-    interpreter and the recorder's zero-allocation access fast path are on
-    the clock.  [engine] selects the execution substrate: [Vm.Bytecode]
-    (the register VM over the eagerly lowered program, the default) or
-    [Vm.Tree] (the slot-resolved tree walker, kept as the differential
-    oracle) — recorded logs are byte-identical either way.
+(** Execute one recording run over a prepared program on the register VM
+    ({!Runtime.Vm}, over the eagerly lowered program); only the VM and the
+    recorder's zero-allocation access fast path are on the clock.
 
     [recorder] recycles a long-lived recorder across sessions instead of
     allocating a fresh one: it is {!Recorder.reset} in place (retargeted to
@@ -90,11 +86,12 @@ val prepared_plan : prepared -> Plan.t
 val prepared_modes : prepared -> Bytes.t
 val prepared_instrumented_sites : prepared -> int
 (** Component accessors, for clients (like the epoch engine) that drive the
-    interpreter and recorder themselves over a prepared program. *)
+    VM and recorder themselves over a prepared program.
+    [prepared_compiled] is the tree walker's form ({!Runtime.Interp}), for
+    the differential tests that hold the VM to it. *)
 
 val record :
   ?variant:variant ->
-  ?engine:Vm.engine ->
   ?sched:Sched.t ->
   ?max_steps:int ->
   ?seed:int ->
@@ -119,20 +116,18 @@ type replay_result = {
 val replay :
   ?max_steps:int ->
   ?solver_budget:Dlsolver.Idl.budget ->
-  ?engine:Vm.engine ->
   recording ->
   (replay_result, string) result
-(** Generate constraints, solve offline, and execute the replay run on
-    [engine] (default [Vm.Bytecode], as for recording).  [Error _] only if
-    the constraint system is unsatisfiable or the solver exhausts
-    [solver_budget] — unsatisfiability is ruled out by Lemma 4.1 for logs
+(** Generate constraints, solve offline, and execute the replay run on the
+    register VM, as for recording.  [Error _] only if the constraint
+    system is unsatisfiable or the solver exhausts [solver_budget] —
+    unsatisfiability is ruled out by Lemma 4.1 for logs
     this library records, and the budget exists so a generator or solver
     regression aborts loudly (with the solver's statistics in the message)
     instead of hanging the caller. *)
 
 val record_and_replay :
   ?variant:variant ->
-  ?engine:Vm.engine ->
   ?sched:Sched.t ->
   ?max_steps:int ->
   ?seed:int ->

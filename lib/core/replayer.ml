@@ -311,14 +311,8 @@ let driver ?(suppress = true) (sch : schedule) ~(plan : Plan.t) : driver =
     progress = (fun () -> !n_executed);
   }
 
-(** Execute the replay run, on the register VM by default or on the tree
-    walker (the driver hooks are engine-agnostic; the schedule constrains
-    shared accesses, which both engines present identically). *)
-let replay ?(max_steps = 10_000_000) ?suppress ?(engine = Vm.Bytecode)
-    (program : Lang.Ast.program) ~(plan : Plan.t) (sch : schedule) :
-    Interp.outcome =
+(** Execute the replay run on the register VM, steered by {!driver}. *)
+let replay ?(max_steps = 10_000_000) ?suppress (program : Lang.Ast.program)
+    ~(plan : Plan.t) (sch : schedule) : Interp.outcome =
   let d = driver ?suppress sch ~plan in
-  let run =
-    match engine with Vm.Tree -> Interp.run | Vm.Bytecode -> Vm.run
-  in
-  run ~hooks:d.hooks ~plan ~max_steps ~sched:(Sched.round_robin ()) program
+  Vm.run ~hooks:d.hooks ~plan ~max_steps ~sched:(Sched.round_robin ()) program

@@ -351,7 +351,7 @@ let make_context ?(variant = Light_core.Light.v_basic) ?(max_steps = 400_000)
      plan-independent under [all_shared]) for the trace + dynamic races *)
   let hb = Analysis.Hb_detector.create () in
   let traced =
-    Interp.run
+    Vm.run
       ~hooks:(Analysis.Hb_detector.hooks hb)
       ~plan ~max_steps ~collect_trace:true ~seed ~sched:(make_sched ()) p
   in

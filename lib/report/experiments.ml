@@ -26,9 +26,12 @@ let measure_benchmark (bm : Workloads.benchmark) : bench_measure =
   let sched () = Workloads.scheduler bm in
   let tr = Instrument.Transformer.transform p in
   let plan = tr.plan in
+  let bp = Vm.compile p in
   (* Leap *)
   let leap_rec = Baselines.Leap.create () in
-  let leap_out = Interp.run ~hooks:(Baselines.Leap.hooks leap_rec) ~plan ~sched:(sched ()) p in
+  let leap_out =
+    Vm.run_program ~hooks:(Baselines.Leap.hooks leap_rec) ~plan ~sched:(sched ()) bp
+  in
   let leap_log = Baselines.Leap.finalize leap_rec in
   let leap =
     {
@@ -38,7 +41,9 @@ let measure_benchmark (bm : Workloads.benchmark) : bench_measure =
   in
   (* Stride *)
   let st_rec = Baselines.Stride.create () in
-  let st_out = Interp.run ~hooks:(Baselines.Stride.hooks st_rec) ~plan ~sched:(sched ()) p in
+  let st_out =
+    Vm.run_program ~hooks:(Baselines.Stride.hooks st_rec) ~plan ~sched:(sched ()) bp
+  in
   let st_log = Baselines.Stride.finalize st_rec in
   let stride =
     {
@@ -358,7 +363,6 @@ type series = { sps_med : float; sps_min : float; sps_max : float }
 type interp_measure = {
   im_bm : string;
   im_steps : int;     (* steps of one uninstrumented run *)
-  im_ref : series;    (* reference interpreter (string-keyed), native *)
   im_native : series; (* slot-resolved tree walker, native *)
   im_vm : series;     (* register-bytecode VM, native: the ratios' base *)
   im_basic : series;  (* under Light recording (on the VM), uncompressed *)
@@ -379,9 +383,9 @@ let steps_per_sec ~iters ~steps (run : unit -> unit) : series =
   run ();
   let samples =
     Array.init iters (fun _ ->
-        let t0 = Unix.gettimeofday () in
+        let t0 = Light_core.Clock.now_s () in
         run ();
-        let dt = Unix.gettimeofday () -. t0 in
+        let dt = Light_core.Clock.now_s () -. t0 in
         float_of_int steps /. Float.max dt 1e-9)
   in
   Array.sort compare samples;
@@ -409,7 +413,6 @@ let measure_interp ~iters (bm : Workloads.benchmark) : interp_measure =
   (* the tree walker only backs [vm_speedup]; every recording ratio is
      VM over VM, the engine [record_prepared] runs on *)
   let native = time (fun () -> Interp.run_compiled ~sched:(sched ()) ~seed cp) in
-  let ref_ = time (fun () -> Interp_ref.run ~sched:(sched ()) ~seed p) in
   (* instrument once, record every iteration: the analysis and the slot
      resolution are prepare-time costs (measured by the analysis bench);
      what this bench times is the recording fast path *)
@@ -435,7 +438,6 @@ let measure_interp ~iters (bm : Workloads.benchmark) : interp_measure =
   {
     im_bm = bm.name;
     im_steps = steps;
-    im_ref = ref_;
     im_native = native;
     im_vm = vm;
     im_basic = basic;
@@ -455,7 +457,6 @@ let spread (s : series) : float = (s.sps_max -. s.sps_min) /. Float.max s.sps_me
 let interp_ratios : (string * (interp_measure -> float)) list =
   let over a b m = (a m).sps_med /. (b m).sps_med in
   [
-    ("speedup_vs_ref", over (fun m -> m.im_native) (fun m -> m.im_ref));
     ("vm_speedup", over (fun m -> m.im_vm) (fun m -> m.im_native));
     ("ratio_basic", over (fun m -> m.im_vm) (fun m -> m.im_basic));
     ("ratio_o1", over (fun m -> m.im_vm) (fun m -> m.im_o1));
@@ -465,7 +466,7 @@ let interp_ratios : (string * (interp_measure -> float)) list =
 
 let interp_series : (string * (interp_measure -> series)) list =
   [
-    ("ref", fun m -> m.im_ref); ("native", fun m -> m.im_native);
+    ("native", fun m -> m.im_native);
     ("vm", fun m -> m.im_vm); ("basic", fun m -> m.im_basic);
     ("o1", fun m -> m.im_o1); ("both", fun m -> m.im_both);
     ("epoch", fun m -> m.im_epoch);
@@ -479,13 +480,13 @@ let interp_row (m : interp_measure) : (string * J.t) list =
   (("workload", J.Str m.im_bm) :: ("steps", J.Int m.im_steps)
    :: List.map (fun (name, f) -> sps name f) interp_series)
   @ List.map (fun (k, f) -> (k, J.Float (f m))) interp_ratios
-  @ List.concat_map range (List.tl interp_series)
+  @ List.concat_map range interp_series
   @ [ ("native_spread", J.Float (spread m.im_native)) ]
 
-(* Per-workload interpreter throughput: the slot-resolved tree walker
-   against the string-keyed reference and the register VM (native,
-   uninstrumented), and the per-variant recording-overhead ratios (native
-   VM steps/sec divided by recorded steps/sec, recording also on the VM).
+(* Per-workload interpreter throughput: the register VM against the
+   slot-resolved tree walker (native, uninstrumented), and the per-variant
+   recording-overhead ratios (native VM steps/sec divided by recorded
+   steps/sec, recording also on the VM).
    All steps/sec cells are the median over the timed iterations.  Runs
    sequentially — timing inside the domain pool would measure contention,
    not the interpreter.  Step counts on stdout are deterministic; every
@@ -500,17 +501,17 @@ let interp_bench () ppf : unit =
   let k sps = Printf.sprintf "%.0fk" (sps /. 1e3) in
   Chart.table
     ~title:
-      "Interpreter throughput (median steps/sec: reference vs slot-resolved, \
-       native and under recording)"
+      "Interpreter throughput (median steps/sec: tree walker vs VM, native \
+       and under recording)"
     ~header:
-      [ "workload"; "steps"; "ref"; "native"; "vm"; "speedup"; "vmx"; "basic";
-        "o1"; "o1+o2"; "epoch"; "xbasic"; "xo1"; "xo1+o2"; "xepoch" ]
+      [ "workload"; "steps"; "native"; "vm"; "vmx"; "basic"; "o1"; "o1+o2";
+        "epoch"; "xbasic"; "xo1"; "xo1+o2"; "xepoch" ]
     (List.map
        (fun m ->
          let kc s = timing_cell (k s.sps_med) and rc key = timing_cell (f1 (ratio key m)) in
          [
-           m.im_bm; string_of_int m.im_steps; kc m.im_ref; kc m.im_native; kc m.im_vm;
-           rc "speedup_vs_ref"; rc "vm_speedup"; kc m.im_basic; kc m.im_o1;
+           m.im_bm; string_of_int m.im_steps; kc m.im_native; kc m.im_vm;
+           rc "vm_speedup"; kc m.im_basic; kc m.im_o1;
            kc m.im_both; kc m.im_epoch; rc "ratio_basic"; rc "ratio_o1";
            rc "ratio_both"; rc "ratio_epoch";
          ])
@@ -520,9 +521,9 @@ let interp_bench () ppf : unit =
     (List.fold_left (fun a m -> a + m.im_steps) 0 ms);
   if show_timings () then begin
     Fmt.pf ppf
-      "  geomean: %.2fx vs reference (VM %.2fx vs tree); record overhead on \
-       the VM %.2fx basic, %.2fx O1, %.2fx O1+O2@."
-      (gm "speedup_vs_ref") (gm "vm_speedup") (gm "ratio_basic") (gm "ratio_o1")
+      "  geomean: VM %.2fx vs tree; record overhead on the VM %.2fx basic, \
+       %.2fx O1, %.2fx O1+O2@."
+      (gm "vm_speedup") (gm "ratio_basic") (gm "ratio_o1")
       (gm "ratio_both");
     Fmt.pf ppf "  native min-of-iters geomean: %.0fk steps/sec@."
       (geomean (List.map (fun m -> m.im_native.sps_min) ms) /. 1e3);
@@ -592,7 +593,7 @@ let measure_analysis ~iters (bm : Workloads.benchmark) : analysis_measure =
   (* native and recorded runs both on the VM; both timed recordings take a
      prepared plan: the point is the cost of the instrumentation the plan
      leaves behind, not of running the analysis *)
-  let bp = Lang.Compile.lower (Interp.compile p) in
+  let bp = Vm.compile p in
   let steps = (Vm.run_program ~sched:(sched ()) ~seed bp).steps in
   let time run = (steps_per_sec ~iters ~steps (fun () -> ignore (run ()))).sps_med in
   let native_sps = time (fun () -> Vm.run_program ~sched:(sched ()) ~seed bp) in
@@ -794,11 +795,11 @@ let table1 ?pool () ppf : unit =
             Light_core.Light.record ~variant:Light_core.Light.v_both
               ~sched:(tr.make_sched ()) p
           in
-          let t0 = Unix.gettimeofday () in
+          let t0 = Light_core.Clock.now_s () in
           (match Light_core.Light.replay r with
           | Error e -> Some [ b.name; "-"; "-"; "-"; "solver failed: " ^ e ]
           | Ok rr ->
-            let replay_s = Unix.gettimeofday () -. t0 -. rr.report.solve_time_s in
+            let replay_s = Light_core.Clock.now_s () -. t0 -. rr.report.solve_time_s in
             let faithful = Bugs.Harness.crashes_match r.outcome rr.replay_outcome in
             Some
               [
@@ -1022,7 +1023,7 @@ let epochs_bench () ppf : unit =
   let log_path = Filename.temp_file "light_epochs" ".v4" in
   let heap_max = ref 0 and rows = ref [] in
   Gc.compact ();
-  let t0 = Unix.gettimeofday () in
+  let t0 = Light_core.Clock.now_s () in
   let summary =
     Out_channel.with_open_text log_path (fun oc ->
         let w =
@@ -1047,7 +1048,7 @@ let epochs_bench () ppf : unit =
               :: !rows)
           pp)
   in
-  let record_s = Unix.gettimeofday () -. t0 in
+  let record_s = Light_core.Clock.now_s () -. t0 in
   let rss_epoch_kb = vm_hwm_kb () in
   let rows = List.rev !rows in
   let log_bytes = (Unix.stat log_path).Unix.st_size in
@@ -1077,24 +1078,24 @@ let epochs_bench () ppf : unit =
       (fun k ->
         let ck = List.nth chunks k in
         let window = ck.Light_core.Epoch.ck_steps - ck.Light_core.Epoch.ck_start_steps in
-        let t0 = Unix.gettimeofday () in
+        let t0 = Light_core.Clock.now_s () in
         match Light_core.Epoch.replay_chunk pp ck with
         | Error e -> (k, window, -1, 0.0, "error: " ^ e)
         | Ok rr ->
           ( k,
             window,
             rr.Light_core.Epoch.rr_steps,
-            Unix.gettimeofday () -. t0,
+            Light_core.Clock.now_s () -. t0,
             "ok" ))
       picks
   in
   (* phase 4: monolithic recording of the same run *)
   Gc.compact ();
-  let t0 = Unix.gettimeofday () in
+  let t0 = Light_core.Clock.now_s () in
   let mono =
     Light_core.Light.record_prepared ~sched:(mk_sched ()) ~max_steps:total_steps pp
   in
-  let mono_s = Unix.gettimeofday () -. t0 in
+  let mono_s = Light_core.Clock.now_s () -. t0 in
   let heap_mono = (Gc.quick_stat ()).Gc.heap_words in
   let rss_total_kb = vm_hwm_kb () in
   let result_str (rep : Light_core.Replayer.solve_report) =
@@ -1218,7 +1219,7 @@ let running_example () ppf : unit =
   (* Leap comparison for the 1/3 claim *)
   let plan = basic.plan in
   let leap_rec = Baselines.Leap.create () in
-  let leap_out = Interp.run ~hooks:(Baselines.Leap.hooks leap_rec) ~plan ~sched:(sched ()) p in
+  let leap_out = Vm.run ~hooks:(Baselines.Leap.hooks leap_rec) ~plan ~sched:(sched ()) p in
   let leap_ovh = Metrics.Cost.overhead leap_rec.meter ~steps:leap_out.steps in
   Chart.table ~title:"Running example (Cache4j workload, Sections 2.3-2.4)"
     ~header:[ "configuration"; "overhead"; "paper" ]
@@ -1235,8 +1236,8 @@ let running_example () ppf : unit =
 
 (* The ROADMAP's deployment shape: one process recording thousands of user
    sessions.  The corpus is every workload x every recording variant
-   (prepared once — instrument-once, record-every-run) x both execution
-   engines; sessions cycle through it with per-session scheduler seeds.
+   (prepared once — instrument-once, record-every-run); sessions cycle
+   through it with per-session scheduler seeds.
 
    A session is a bounded recording window (LIGHT_SERVICE_STEPS
    interpreter steps, like the epoch bench's windows) — the deployment
@@ -1270,7 +1271,6 @@ type service_combo = {
   svc_label : string;
   svc_bm : Workloads.benchmark;
   svc_pp : Light_core.Light.prepared;
-  svc_engine : Vm.engine;
   svc_variant : Light_core.Light.variant;
 }
 
@@ -1282,25 +1282,18 @@ let service_corpus () : service_combo array =
       ("O1+O2", Light_core.Light.v_both);
     ]
   in
-  let engines = [ ("tree", Vm.Tree); ("vm", Vm.Bytecode) ] in
   Array.of_list
     (List.concat_map
        (fun (bm : Workloads.benchmark) ->
          let program = Workloads.program bm in
-         List.concat_map
+         List.map
            (fun (vn, variant) ->
-             let pp = Light_core.Light.prepare ~variant program in
-             List.map
-               (fun (en, engine) ->
-                 {
-                   svc_label =
-                     Printf.sprintf "%s/%s/%s" bm.Workloads.name vn en;
-                   svc_bm = bm;
-                   svc_pp = pp;
-                   svc_engine = engine;
-                   svc_variant = variant;
-                 })
-               engines)
+             {
+               svc_label = Printf.sprintf "%s/%s" bm.Workloads.name vn;
+               svc_bm = bm;
+               svc_pp = Light_core.Light.prepare ~variant program;
+               svc_variant = variant;
+             })
            variants)
        Workloads.all)
 
@@ -1308,7 +1301,7 @@ let service_sessions (corpus : service_combo array) (n : int)
     ~(max_steps : int) : Service.session array =
   Array.init n (fun i ->
       let c = corpus.(i mod Array.length corpus) in
-      Service.session ~label:c.svc_label ~engine:c.svc_engine ~seed:i
+      Service.session ~label:c.svc_label ~seed:i
         ~max_steps
         ~sched:(fun () -> Workloads.scheduler ~seed:(1000 + i) c.svc_bm)
         c.svc_pp)
@@ -1343,32 +1336,32 @@ let service_measure () : service_measure =
   let naive_n = min n (env_int "LIGHT_SERVICE_NAIVE" 168) in
   let steps_budget = env_int "LIGHT_SERVICE_STEPS" 500 in
   let queue = env_int "LIGHT_SERVICE_QUEUE" 64 in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Light_core.Clock.now_s () in
   let corpus = service_corpus () in
-  let prepare_s = Unix.gettimeofday () -. t0 in
+  let prepare_s = Light_core.Clock.now_s () -. t0 in
   let sessions = service_sessions corpus n ~max_steps:steps_budget in
   let pool = Engine.Pool.get_default () in
   (* pass 1: serial reference (and deterministic intern warm-up) *)
-  let t0 = Unix.gettimeofday () in
+  let t0 = Light_core.Clock.now_s () in
   let ref_results, _ =
     Engine.Pool.with_pool ~size:1 (fun p1 ->
         Service.run ~pool:p1 ~queue_capacity:queue sessions)
   in
-  let serial_s = Unix.gettimeofday () -. t0 in
+  let serial_s = Light_core.Clock.now_s () -. t0 in
   (* pass 2: the service under load *)
   Lang.Intern.reset_stats ();
-  let t0 = Unix.gettimeofday () in
+  let t0 = Light_core.Clock.now_s () in
   let results, stats = Service.run ~pool ~queue_capacity:queue sessions in
-  let service_s = Unix.gettimeofday () -. t0 in
+  let service_s = Light_core.Clock.now_s () -. t0 in
   let intern = Lang.Intern.stats () in
   (* pass 3: fresh recorder per session (recycling attribution) *)
-  let t0 = Unix.gettimeofday () in
+  let t0 = Light_core.Clock.now_s () in
   let norec_results, _ =
     Service.run ~pool ~queue_capacity:queue ~recycle:false sessions
   in
-  let norecycle_s = Unix.gettimeofday () -. t0 in
+  let norecycle_s = Light_core.Clock.now_s () -. t0 in
   (* pass 4: naive per-session Light.record at the same LIGHT_JOBS *)
-  let t0 = Unix.gettimeofday () in
+  let t0 = Light_core.Clock.now_s () in
   let naive_digests =
     Engine.Pool.map_array pool
       ~f:(fun _ i ->
@@ -1377,14 +1370,14 @@ let service_measure () : service_measure =
            front-end per session (the service cached it in [prepare]) *)
         let p = Workloads.program c.svc_bm in
         let r =
-          Light_core.Light.record ~variant:c.svc_variant ~engine:c.svc_engine
+          Light_core.Light.record ~variant:c.svc_variant
             ~sched:(Workloads.scheduler ~seed:(1000 + i) c.svc_bm)
             ~max_steps:steps_budget ~seed:i p
         in
         Digest.string (Light_core.Log.to_string r.Light_core.Light.log))
       (Array.init naive_n (fun i -> i))
   in
-  let naive_s = Unix.gettimeofday () -. t0 in
+  let naive_s = Light_core.Clock.now_s () -. t0 in
   let id_workers = ref true and id_naive = ref true in
   Array.iteri
     (fun i (r : Service.result_) ->
@@ -1443,7 +1436,7 @@ let service_speedup (m : service_measure) : float =
 let service_report (m : service_measure) ppf : unit =
   Fmt.pf ppf
     "Experiment E16: record service under load (%d sessions of <=%d steps \
-     over a %d-combo corpus: 28 workloads x 3 variants x 2 engines)@."
+     over a %d-combo corpus: 28 workloads x 3 variants)@."
     m.sv_sessions m.sv_steps_budget m.sv_corpus;
   Fmt.pf ppf "  sessions: %d done, %d rejected, %d failed@." m.sv_done
     m.sv_rejected m.sv_failed;

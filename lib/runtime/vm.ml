@@ -1365,70 +1365,19 @@ let run_program ?hooks ?plan ?max_steps ?collect_trace ?seed ~(sched : Sched.t)
   | Some status -> outcome_of_state st status
   | None -> assert false (* stop_at defaults to max_int: never pauses *)
 
+(** Slot-resolve and lower [program] for {!run_program}.  Lowering is not
+    free: a caller that runs one program many times lowers it once. *)
+let compile (program : Ast.program) : Bytecode.program =
+  Compile.lower (Interp.compile program)
+
 let run ?hooks ?plan ?max_steps ?collect_trace ?seed ~(sched : Sched.t)
     (program : Ast.program) : Interp.outcome =
-  run_program ?hooks ?plan ?max_steps ?collect_trace ?seed ~sched
-    (Compile.lower (Interp.compile program))
+  run_program ?hooks ?plan ?max_steps ?collect_trace ?seed ~sched (compile program)
 
-(* ------------------------------------------------------------------ *)
-(* Engine selection: one session surface over both interpreters        *)
-(* ------------------------------------------------------------------ *)
-
+(** The two interpreters.  Every shipped entry point runs [Bytecode]; the
+    tree walker ({!Interp}) is the differential oracle that tests drive
+    through its own entry points.  The type stays only because the
+    record→replay benchmark program ([perfbench/main.ml]) still names both
+    constructors; ROADMAP item 7 removes it at the next change to that
+    program. *)
 type engine = Tree | Bytecode
-
-let engine_name = function Tree -> "tree" | Bytecode -> "bytecode"
-
-(** A running execution, abstracted over the engine: exactly the surface
-    the epoch machinery drives — run to a step boundary, checkpoint, drain
-    the window's observables.  Both engines produce (and accept) the same
-    {!Interp.snapshot} values, so a session checkpointed on one engine can
-    be restored on the other. *)
-type session = {
-  s_run :
-    ?max_steps:int ->
-    ?stop_at:int ->
-    sched:Sched.t ->
-    unit ->
-    Interp.status_summary option;
-  s_snapshot : unit -> Interp.snapshot;
-  s_drain : unit -> Interp.observables;
-  s_counters : unit -> (int * int) list;
-  s_steps : unit -> int;
-  s_outcome : Interp.status_summary -> Interp.outcome;
-}
-
-let tree_session (st : Interp.state) : session =
-  {
-    s_run =
-      (fun ?max_steps ?stop_at ~sched () ->
-        Interp.run_state ?max_steps ?stop_at ~sched st);
-    s_snapshot = (fun () -> Interp.snapshot st);
-    s_drain = (fun () -> Interp.drain_observables st);
-    s_counters = (fun () -> Interp.state_counters st);
-    s_steps = (fun () -> Interp.state_steps st);
-    s_outcome = (fun status -> Interp.outcome_of_state st status);
-  }
-
-let vm_session (st : state) : session =
-  {
-    s_run =
-      (fun ?max_steps ?stop_at ~sched () -> run_state ?max_steps ?stop_at ~sched st);
-    s_snapshot = (fun () -> snapshot st);
-    s_drain = (fun () -> drain_observables st);
-    s_counters = (fun () -> state_counters st);
-    s_steps = (fun () -> state_steps st);
-    s_outcome = (fun status -> outcome_of_state st status);
-  }
-
-let start_session ?hooks ?plan ?collect_trace ?seed (e : engine)
-    ~(compiled : Interp.compiled) ~(bytecode : Bytecode.program) : session =
-  match e with
-  | Tree -> tree_session (Interp.init_state ?hooks ?plan ?collect_trace ?seed compiled)
-  | Bytecode -> vm_session (init_state ?hooks ?plan ?collect_trace ?seed bytecode)
-
-let restore_session ?hooks ?plan ?collect_trace (e : engine)
-    ~(compiled : Interp.compiled) ~(bytecode : Bytecode.program)
-    (sn : Interp.snapshot) : session =
-  match e with
-  | Tree -> tree_session (Interp.restore_state ?hooks ?plan ?collect_trace compiled sn)
-  | Bytecode -> vm_session (restore_state ?hooks ?plan ?collect_trace bytecode sn)

@@ -38,7 +38,7 @@ open Runtime
 type session = {
   ss_label : string;  (** for reports; not part of the recorded bytes *)
   ss_prepared : Light_core.Light.prepared;
-  ss_engine : Vm.engine;
+  ss_engine : Vm.engine;  (** always [Vm.Bytecode]; see service.mli *)
   ss_sched : unit -> Sched.t;
       (** fresh scheduler per execution — schedulers are stateful, and a
           session may be re-executed (e.g. by an identity-checking pass) *)
@@ -46,12 +46,12 @@ type session = {
   ss_max_steps : int;
 }
 
-let session ?(label = "") ?(engine = Vm.Bytecode) ?(seed = 0)
+let session ?(label = "") ?(seed = 0)
     ?(max_steps = 5_000_000) ~sched prepared =
   {
     ss_label = label;
     ss_prepared = prepared;
-    ss_engine = engine;
+    ss_engine = Vm.Bytecode;
     ss_sched = sched;
     ss_seed = seed;
     ss_max_steps = max_steps;
@@ -139,9 +139,8 @@ let run ?pool ?(queue_capacity = 64) ?(recycle = true) ?(on_full = `Park)
     in
     let res =
       match
-        Light_core.Light.record_prepared ~engine:s.ss_engine
-          ~sched:(s.ss_sched ()) ~max_steps:s.ss_max_steps ~seed:s.ss_seed
-          ?recorder s.ss_prepared
+        Light_core.Light.record_prepared ~sched:(s.ss_sched ())
+          ~max_steps:s.ss_max_steps ~seed:s.ss_seed ?recorder s.ss_prepared
       with
       | rec_ ->
         let t1 = Light_core.Clock.now_s () in

@@ -56,7 +56,9 @@ type result =
 type budget = {
   max_backtracks : int;      (** decision levels undone before giving up *)
   max_conflicts : int;       (** theory conflicts before giving up *)
-  max_time_s : float;        (** CPU seconds ([Sys.time]) before giving up *)
+  max_time_s : float;
+      (** seconds of monotonic wall time before giving up: process CPU
+          time would also count other pool domains' work *)
 }
 
 let default_budget =
@@ -89,7 +91,10 @@ let solve ?max_backtracks ?(budget = default_budget) ?hint (p : problem) : resul
   (match hint with Some h -> Diff_graph.seed g h | None -> ());
   let decisions = ref 0 and backtracks = ref 0 and conflicts = ref 0 in
   let adds = ref 0 and max_depth = ref 0 in
-  let t_start = Sys.time () in
+  (* bechamel's monotonic clock, as [Light_core.Clock], which this library
+     cannot depend on *)
+  let now_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9 in
+  let t_start = now_s () in
   let stats () =
     {
       decisions = !decisions;
@@ -104,7 +109,7 @@ let solve ?max_backtracks ?(budget = default_budget) ?hint (p : problem) : resul
     if
       !backtracks > budget.max_backtracks
       || !conflicts > budget.max_conflicts
-      || (budget.max_time_s < infinity && Sys.time () -. t_start > budget.max_time_s)
+      || (budget.max_time_s < infinity && now_s () -. t_start > budget.max_time_s)
     then raise Give_up
   in
   let hard_ok =

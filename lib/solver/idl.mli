@@ -55,7 +55,9 @@ type result =
 type budget = {
   max_backtracks : int;  (** decision levels undone before giving up *)
   max_conflicts : int;   (** theory conflicts before giving up *)
-  max_time_s : float;    (** CPU seconds ([Sys.time]-based) before giving up *)
+  max_time_s : float;
+      (** seconds of monotonic wall time before giving up (not process CPU
+          time, which would count every pool domain's work) *)
 }
 
 val default_budget : budget

@@ -7,15 +7,15 @@
     off the {!Lang.Ast} form.  It exists for two purposes:
 
     - the outcome-equivalence test suite runs every workload under both
-      interpreters and pins that {!Interp.run} is observationally identical
-      (status, reads, outputs, counters, syscalls, final_heap);
-    - the [interp] benchmark measures the slot-resolved interpreter's
-      speedup against it.
+      interpreters and pins that {!Runtime.Interp.run} is observationally
+      identical (status, reads, outputs, counters, syscalls, final_heap);
+    - the VM equivalence suite holds {!Runtime.Vm} to it the same way.
 
     It supports no hooks (no gate, observer, or wakeup chooser), so it can
-    only drive native runs; record/replay always goes through {!Interp}. *)
+    only drive native runs; record/replay always goes through the VM. *)
 
 open Lang
+open Runtime
 
 type obj = { cls : string; fields : (string, Value.t) Hashtbl.t }
 

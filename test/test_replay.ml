@@ -397,10 +397,13 @@ let prop_pruned_equisat =
 
 (* Run [program] with the production driver steering and the reference
    driver shadowing it; fail on the first disagreement at any consult. *)
-let shadowed ?suppress ?(engine = Vm.Bytecode) ~label ~plan ~intervals sch program =
+let shadowed ?suppress ?(tree = false) ~label ~plan ~intervals sch program =
   let hooks, disagreements = Ref_driver.shadow ?suppress ~intervals sch ~plan in
-  let run = match engine with Vm.Tree -> Interp.run | Vm.Bytecode -> Vm.run in
-  let o = run ~hooks ~plan ~max_steps:10_000_000 ~sched:(Sched.round_robin ()) program in
+  let max_steps = 10_000_000 and sched = Sched.round_robin () in
+  let o =
+    if tree then Interp.run ~hooks ~plan ~max_steps ~sched program
+    else Vm.run ~hooks ~plan ~max_steps ~sched program
+  in
   (match disagreements () with
   | [] -> ()
   | ds -> Alcotest.failf "%s: drivers disagree: %s" label (String.concat "; " ds));
@@ -443,10 +446,10 @@ let prop_oracle_random =
       in
       let sch, intervals = solved "random program" r.log in
       List.for_all
-        (fun engine ->
-          let o = shadowed ~engine ~label:"random program" ~plan:r.plan ~intervals sch p in
+        (fun tree ->
+          let o = shadowed ~tree ~label:"random program" ~plan:r.plan ~intervals sch p in
           Interp.replay_matches ~original:r.outcome ~replay:o = [])
-        [ Vm.Bytecode; Vm.Tree ])
+        [ false; true ])
 
 (* Arbitrary consult sequences, not only a run's monotone ones.  Accesses
    mostly walk the schedule in rank order, sometimes skipping ahead (out
@@ -524,19 +527,18 @@ let test_oracle_epochs () =
           let label = Printf.sprintf "%s epoch %d" name k in
           let sch, intervals = solved label e.ep_log in
           let hooks, disagreements = Ref_driver.shadow ~intervals sch ~plan in
-          let ses =
-            Vm.restore_session ~plan
+          let st =
+            Vm.restore_state ~plan
               ~hooks:(Epoch.fenced_hooks hooks e.ep_log.Log.counters)
-              Vm.Bytecode ~compiled:(Light.prepared_compiled pp)
-              ~bytecode:(Light.prepared_bytecode pp) e.ep_snapshot
+              (Light.prepared_bytecode pp) e.ep_snapshot
           in
           ignore
-            (ses.s_run ~max_steps:(e.ep_start_steps + 10_000_000)
-               ~sched:(Sched.round_robin ()) ());
+            (Vm.run_state ~max_steps:(e.ep_start_steps + 10_000_000)
+               ~sched:(Sched.round_robin ()) st);
           Alcotest.(check (list string)) (label ^ ": drivers agree") [] (disagreements ());
           Alcotest.(check (list string))
             (label ^ ": window") []
-            (Epoch.window_matches ~expected:e.ep_obs (ses.s_drain ())))
+            (Epoch.window_matches ~expected:e.ep_obs (Vm.drain_observables st)))
         er.er_epochs)
     [ "mp-queue"; "mp-barrier"; "cache4j"; "dacapo-avrora" ]
 

@@ -40,8 +40,9 @@ let prog_b = parse {|
 
 let sched ~seed () = Sched.sticky ~seed ~stickiness:4
 
-let record_fresh ?(engine = Vm.Tree) ~seed pp =
-  Light_core.Light.record_prepared ~engine ~sched:(sched ~seed ()) ~seed pp
+(* a fresh recorder on the tree walker: what the service's recycled VM
+   recordings must match byte for byte *)
+let record_fresh ~seed pp = Tree_oracle.record ~sched:(sched ~seed ()) ~seed pp
 
 let log_str (r : Light_core.Light.recording) =
   Light_core.Log.to_string r.Light_core.Light.log
@@ -199,18 +200,21 @@ let test_pool_default_shutdown_refused () =
 
 let mk_sessions n =
   Array.init n (fun i ->
-      let pp, engine =
-        match i mod 4 with
-        | 0 -> (pp_a, Vm.Tree)
-        | 1 -> (pp_b, Vm.Tree)
-        | 2 -> (pp_a, Vm.Bytecode)
-        | _ -> (pp_b, Vm.Bytecode)
-      in
-      Service.session ~label:(string_of_int i) ~engine ~seed:i
+      Service.session ~label:(string_of_int i) ~seed:i
         ~sched:(sched ~seed:(100 + i))
-        pp)
+        (if i mod 2 = 0 then pp_a else pp_b))
 
 let digests results = Array.map (fun r -> r.Service.sr_digest) results
+
+(* each session recorded alone, on the tree walker *)
+let tree_digests (sessions : Service.session array) =
+  Array.map
+    (fun (s : Service.session) ->
+      Digest.string
+        (log_str
+           (Tree_oracle.record ~max_steps:s.ss_max_steps ~sched:(s.ss_sched ())
+              ~seed:s.ss_seed s.ss_prepared)))
+    sessions
 
 let test_service_pool_size_identity () =
   let sessions = mk_sessions 24 in
@@ -223,6 +227,8 @@ let test_service_pool_size_identity () =
   let fresh, stf = run ~size:4 ~recycle:false in
   Alcotest.(check int) "serial all done" 24 st1.Service.st_done;
   Alcotest.(check int) "wide all done" 24 st4.Service.st_done;
+  Alcotest.(check bool) "digests: 1 worker = tree walker" true
+    (digests serial = tree_digests sessions);
   Alcotest.(check bool) "digests: 1 worker = 4 workers" true
     (digests serial = digests wide);
   Alcotest.(check bool) "digests: recycled = fresh recorders" true

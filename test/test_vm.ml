@@ -1,16 +1,19 @@
 (** Register-bytecode VM equivalence: [Vm] (flat instruction array, baked
-    record sites) against [Interp] (slot-resolved tree walker) and
-    [Interp_ref] (string-keyed reference).  The three engines must produce
-    identical [outcome] records on every workload under both schedulers and
-    on random generated programs; with the Light recorder installed, the
-    VM's logs must be {e byte-identical} to the tree-walker's across all
-    three recorder variants; under one solved schedule the two engines'
-    replays must agree field by field (including where a perturbed
-    schedule leaves the gate stuck); the VM must stay under fixed bounds
-    of minor words allocated per recorded and per replayed step;
-    epoch-mode recording through the VM must produce byte-identical v4
-    files, and VM checkpoints must restore (in either engine — they share
-    the snapshot format) and replay. *)
+    record sites) against [Interp] (slot-resolved tree walker, driven
+    through {!Tree_oracle} where the library runs the VM) and [Interp_ref]
+    (string-keyed reference).  The three engines must produce identical
+    [outcome] records on every workload, every Figure-6 bug program and its
+    Chimera-patched form under both schedulers, and on random generated
+    programs, and the VM and the tree walker the same access trace and
+    [observe] event stream; with the Light recorder installed, the VM's
+    logs must be {e byte-identical} to the tree-walker's across all three
+    recorder variants; under one solved schedule the two engines' replays
+    must agree field by field (including where a perturbed schedule leaves
+    the gate stuck); the VM must stay under fixed bounds of minor words
+    allocated per recorded and per replayed step; epoch-mode recording
+    through the VM must produce byte-identical v4 files, and checkpoints
+    must restore in either engine, whichever engine took them, and
+    replay. *)
 
 open Runtime
 
@@ -28,20 +31,47 @@ let check_outcome name (a : Interp.outcome) (b : Interp.outcome) =
 
 let scheds = [ ("random", fun () -> Sched.random ~seed:11); ("rr", Sched.round_robin) ]
 
+(* the workloads, then each Figure-6 bug program and its Chimera-patched
+   form: what the bug harness and the baselines run *)
+let equiv_programs () =
+  List.map (fun (bm : Workloads.benchmark) -> (bm.name, Workloads.program bm)) Workloads.all
+  @ List.concat_map
+      (fun (b : Bugs.Defs.bug) ->
+        let p = Bugs.Defs.program_of b () in
+        [ (b.name, p); (b.name ^ "/patched", (Baselines.Chimera.patch p).patched) ])
+      Bugs.Defs.all
+
+(* hooks that record the [observe] event stream, which the HB detector and
+   the Leap/Stride/Chimera recorders consume *)
+let observer () =
+  let evs = ref [] in
+  ( { Interp.default_hooks with observe = Some (fun ev -> evs := ev :: !evs) },
+    fun () -> List.rev !evs )
+
 let test_workloads_equiv () =
   List.iter
-    (fun (bm : Workloads.benchmark) ->
-      let p = Workloads.program bm in
-      let bp = Lang.Compile.lower (Interp.compile p) in
+    (fun (name, p) ->
+      let bp = Vm.compile p in
       List.iter
         (fun (sname, sched) ->
-          let vm = Vm.run_program ~seed:5 ~sched:(sched ()) bp in
-          let tree = Interp.run ~seed:5 ~sched:(sched ()) p in
+          let tag = name ^ "/" ^ sname in
+          let vm_hooks, vm_events = observer () in
+          let tree_hooks, tree_events = observer () in
+          let vm =
+            Vm.run_program ~hooks:vm_hooks ~collect_trace:true ~seed:5 ~sched:(sched ()) bp
+          in
+          let tree =
+            Interp.run ~hooks:tree_hooks ~collect_trace:true ~seed:5 ~sched:(sched ()) p
+          in
           let ref_ = Interp_ref.run ~seed:5 ~sched:(sched ()) p in
-          check_outcome (bm.name ^ "/" ^ sname ^ " vm=tree") vm tree;
-          check_outcome (bm.name ^ "/" ^ sname ^ " vm=ref") vm ref_)
+          check_outcome (tag ^ " vm=tree") vm tree;
+          Alcotest.(check bool) (tag ^ " vm=tree: trace") true (vm.trace = tree.trace);
+          Alcotest.(check bool)
+            (tag ^ " vm=tree: observed events") true
+            (vm_events () = tree_events ());
+          check_outcome (tag ^ " vm=ref") vm ref_)
         scheds)
-    Workloads.all
+    (equiv_programs ())
 
 let outcomes_equal (a : Interp.outcome) (b : Interp.outcome) =
   a.status = b.status && a.steps = b.steps && a.crashes = b.crashes
@@ -75,12 +105,9 @@ let test_log_identity () =
       List.iter
         (fun v ->
           let pp = Light_core.Light.prepare ~variant:v p in
-          let record engine =
-            Light_core.Light.record_prepared ~engine
-              ~sched:(Workloads.scheduler ~seed:3 bm) ~seed:3 pp
-          in
-          let rt = record Vm.Tree in
-          let rv = record Vm.Bytecode in
+          let sched () = Workloads.scheduler ~seed:3 bm in
+          let rt = Tree_oracle.record ~sched:(sched ()) ~seed:3 pp in
+          let rv = Light_core.Light.record_prepared ~sched:(sched ()) ~seed:3 pp in
           let tag =
             bm.name ^ "/" ^ Light_core.Recorder.variant_name v
           in
@@ -106,8 +133,8 @@ let solve_or_fail tag (log : Light_core.Log.t) =
   | Some sch -> sch
   | None -> Alcotest.failf "%s: no schedule" tag
 
-let replay_on engine (r : Light_core.Light.recording) sch =
-  Light_core.Replayer.replay ~engine r.program ~plan:r.plan sch
+let replay_vm (r : Light_core.Light.recording) sch =
+  Light_core.Replayer.replay r.program ~plan:r.plan sch
 
 (* Every engine pairing: the recording engine does not matter, since
    [test_log_identity] holds both engines' logs and recorded outcomes
@@ -127,8 +154,8 @@ let test_vm_replay () =
               ~seed:3 p
           in
           let sch = solve_or_fail tag r.log in
-          let tree = replay_on Vm.Tree r sch in
-          let vm = replay_on Vm.Bytecode r sch in
+          let tree = Tree_oracle.replay r sch in
+          let vm = replay_vm r sch in
           check_outcome (tag ^ ": replay tree=vm") tree vm;
           List.iter
             (fun (o, e) ->
@@ -200,8 +227,8 @@ let test_perturbed_gate_stuck () =
           | None -> first rest)
       in
       let tag, r, sch = first Workloads.all in
-      let tree = replay_on Vm.Tree r sch in
-      let vm = replay_on Vm.Bytecode r sch in
+      let tree = Tree_oracle.replay r sch in
+      let vm = replay_vm r sch in
       (match vm.status with
       | Interp.GateStuck (_ :: _) -> ()
       | s ->
@@ -229,12 +256,11 @@ let test_epoch_v4_identity () =
       let bm = wl name in
       let p = Workloads.program bm in
       let pp = Light_core.Light.prepare p in
-      let re engine =
-        Light_core.Epoch.record_epochs ~engine
-          ~sched:(Workloads.scheduler ~seed:3 bm) ~seed:3 ~epoch_len:400 pp
+      let sched () = Workloads.scheduler ~seed:3 bm in
+      let rt = Tree_oracle.record_epochs ~sched:(sched ()) ~seed:3 ~epoch_len:400 pp in
+      let rv =
+        Light_core.Epoch.record_epochs ~sched:(sched ()) ~seed:3 ~epoch_len:400 pp
       in
-      let rt = re Vm.Tree in
-      let rv = re Vm.Bytecode in
       Alcotest.(check string)
         (name ^ ": v4 bytes")
         (Light_core.Epoch.to_string_v4 rt)
@@ -243,23 +269,21 @@ let test_epoch_v4_identity () =
     epoch_workloads
 
 (* Cross-engine restore: replay an epoch of a tree-recorded run on the VM
-   (and vice versa on a VM-recorded run) — checkpoints are interchangeable,
-   and each replayed window reproduces the recorded one. *)
+   ([Vm.restore_state] on the tree walker's checkpoint), and an epoch of a
+   VM-recorded run on the tree walker ([Interp.restore_state] on the VM's)
+   — checkpoints are interchangeable, and each replayed window reproduces
+   the recorded one. *)
 let test_epoch_cross_replay () =
   List.iter
     (fun name ->
       let bm = wl name in
       let p = Workloads.program bm in
       let pp = Light_core.Light.prepare p in
-      let rt =
-        Light_core.Epoch.record_epochs ~engine:Vm.Tree
-          ~sched:(Workloads.scheduler ~seed:3 bm) ~seed:3 ~epoch_len:400 pp
-      in
+      let sched () = Workloads.scheduler ~seed:3 bm in
+      let rt = Tree_oracle.record_epochs ~sched:(sched ()) ~seed:3 ~epoch_len:400 pp in
       List.iteri
         (fun k (e : Light_core.Epoch.epoch) ->
-          match
-            Light_core.Epoch.replay_epoch ~engine:Vm.Bytecode rt k
-          with
+          match Light_core.Epoch.replay_epoch rt k with
           | Error err -> Alcotest.failf "%s: epoch %d on vm: %s" name k err
           | Ok rr ->
             Alcotest.(check (list string))
@@ -268,18 +292,17 @@ let test_epoch_cross_replay () =
               (Light_core.Epoch.window_matches ~expected:e.ep_obs rr.rr_obs))
         rt.er_epochs;
       let rv =
-        Light_core.Epoch.record_epochs ~engine:Vm.Bytecode
-          ~sched:(Workloads.scheduler ~seed:3 bm) ~seed:3 ~epoch_len:400 pp
+        Light_core.Epoch.record_epochs ~sched:(sched ()) ~seed:3 ~epoch_len:400 pp
       in
       List.iteri
         (fun k (e : Light_core.Epoch.epoch) ->
-          match Light_core.Epoch.replay_epoch ~engine:Vm.Tree rv k with
+          match Tree_oracle.replay_epoch rv k with
           | Error err -> Alcotest.failf "%s: epoch %d on tree: %s" name k err
-          | Ok rr ->
+          | Ok obs ->
             Alcotest.(check (list string))
               (Printf.sprintf "%s: epoch %d window (tree replay)" name k)
               []
-              (Light_core.Epoch.window_matches ~expected:e.ep_obs rr.rr_obs))
+              (Light_core.Epoch.window_matches ~expected:e.ep_obs obs))
         rv.er_epochs)
     epoch_workloads
 
@@ -313,12 +336,12 @@ let test_alloc_per_step () =
       let r = ref None in
       ignore
         (measure rec_words rec_steps (fun () ->
-             let x = Light_core.Light.record_prepared ~engine:Vm.Bytecode ~sched ~seed:3 pp in
+             let x = Light_core.Light.record_prepared ~sched ~seed:3 pp in
              r := Some x;
              x.outcome));
       let r = Option.get !r in
       let sch = solve_or_fail bm.name r.log in
-      ignore (measure rep_words rep_steps (fun () -> replay_on Vm.Bytecode r sch)))
+      ignore (measure rep_words rep_steps (fun () -> replay_vm r sch)))
     Workloads.all;
   let per words steps = !words /. float !steps in
   let rec_wps = per rec_words rec_steps and rep_wps = per rep_words rep_steps in
